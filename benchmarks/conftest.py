@@ -1,7 +1,7 @@
 """Shared fixtures for the figure/table regeneration benchmarks.
 
 Every benchmark regenerates one paper artifact end-to-end at a reduced
-scale (the full-scale regeneration is ``python -m repro.eval.reporting``).
+scale (the full-scale regeneration is ``python -m repro figures``).
 ``benchmark.pedantic(..., rounds=1)`` is used for the multi-second sweeps
 so pytest-benchmark does not multiply them.
 """

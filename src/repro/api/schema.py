@@ -84,7 +84,12 @@ MAX_BATCH_PROGRAMS = 10000
 
 #: Valid ``options.backend`` values for check/audit requests (mirrors
 #: ``repro.core.relations.resolve_backend``).
-BACKENDS = ("auto", "dense", "numpy", "pairs")
+BACKENDS = ("auto", "dense", "pairs")
+
+#: Retired ``options.backend`` spellings, normalised during validation so
+#: no code past :func:`validate_request` knows them.  The tiled numpy
+#: backend evaluated the same bitset relations as ``dense``.
+BACKEND_ALIASES = {"numpy": "dense"}
 
 #: Valid ``engine`` values for sweep requests (mirrors
 #: ``repro.sim.system.ENGINES``).
@@ -94,11 +99,12 @@ ENGINES = ("auto", "compiled", "vectorized", "reference")
 #: ``repro.core.model.ENGINES``).  Added post-v1 as an optional field
 #: whose default, "enum", is the pre-existing behavior, so every old
 #: request stays valid and means what it always did; no version bump.
-#: "portfolio" races enum against sat and keeps the winner — verdicts
-#: are engine-independent, but the work-accounting fields (``engine``,
-#: ``executions``) depend on which engine won, so portfolio responses
-#: are not run-to-run byte-stable the way the single-engine ones are.
-CHECK_ENGINES = ("enum", "sat", "auto", "portfolio")
+CHECK_ENGINES = ("enum", "sat", "auto")
+
+#: Retired ``options.engine`` spellings, normalised during validation.
+#: The portfolio engine raced enum against sat and fell back to ``auto``
+#: routing wherever racing was unavailable.
+CHECK_ENGINE_ALIASES = {"portfolio": "auto"}
 
 #: Error codes an ``ok: false`` response may carry.
 ERROR_CODES = (
@@ -181,10 +187,15 @@ def _bool(obj: Dict, field: str, default: bool, where: str) -> bool:
     return value
 
 
-def _choice(obj: Dict, field: str, choices: Sequence[str], default: str, where: str) -> str:
+def _choice(
+    obj: Dict, field: str, choices: Sequence[str], default: str, where: str,
+    aliases: Optional[Dict[str, str]] = None,
+) -> str:
     value = obj.get(field, default)
     if value is None:
         value = default
+    if aliases and isinstance(value, str):
+        value = aliases.get(value, value)
     if value not in choices:
         raise _bad(f"{where}.{field}", f"expected one of {list(choices)}, got {value!r}")
     return value
@@ -242,12 +253,14 @@ def _validate_check_options(options: Any) -> Dict[str, Any]:
     ):
         raise _bad("options.max_executions", "expected a positive integer or null")
     return {
-        "backend": _choice(options, "backend", BACKENDS, "auto", "options"),
+        "backend": _choice(options, "backend", BACKENDS, "auto", "options",
+                           BACKEND_ALIASES),
         "dedup": _bool(options, "dedup", True, "options"),
         "exhaustive": _bool(options, "exhaustive", True, "options"),
         "max_executions": max_executions,
         "trace": _bool(options, "trace", False, "options"),
-        "engine": _choice(options, "engine", CHECK_ENGINES, "enum", "options"),
+        "engine": _choice(options, "engine", CHECK_ENGINES, "enum", "options",
+                          CHECK_ENGINE_ALIASES),
     }
 
 
@@ -272,11 +285,13 @@ def _validate_batch_options(options: Any) -> Dict[str, Any]:
     ):
         raise _bad("options.max_executions", "expected a positive integer or null")
     return {
-        "backend": _choice(options, "backend", BACKENDS, "auto", "options"),
+        "backend": _choice(options, "backend", BACKENDS, "auto", "options",
+                           BACKEND_ALIASES),
         "dedup": _bool(options, "dedup", True, "options"),
         "exhaustive": _bool(options, "exhaustive", True, "options"),
         "max_executions": max_executions,
-        "engine": _choice(options, "engine", CHECK_ENGINES, "enum", "options"),
+        "engine": _choice(options, "engine", CHECK_ENGINES, "enum", "options",
+                          CHECK_ENGINE_ALIASES),
     }
 
 
@@ -287,9 +302,11 @@ def _validate_audit_options(options: Any) -> Dict[str, Any]:
         raise _bad("options", f"expected an object, got {type(options).__name__}")
     _require_keys(options, ("backend", "dedup", "engine"), "options")
     return {
-        "backend": _choice(options, "backend", BACKENDS, "auto", "options"),
+        "backend": _choice(options, "backend", BACKENDS, "auto", "options",
+                           BACKEND_ALIASES),
         "dedup": _bool(options, "dedup", True, "options"),
-        "engine": _choice(options, "engine", CHECK_ENGINES, "enum", "options"),
+        "engine": _choice(options, "engine", CHECK_ENGINES, "enum", "options",
+                          CHECK_ENGINE_ALIASES),
     }
 
 

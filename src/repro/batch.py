@@ -19,8 +19,8 @@ shared:
   same illegal class set (data races), so even when their witness scan
   must run it runs once.
 - **Store traffic batches.**  One :class:`repro.perf.cache.BatchHandle`
-  per worker serves repeat reads from memory and flushes writes per
-  bin, instead of an open/encode/replace per check.
+  per worker serves repeat reads within a call from memory and flushes
+  writes per bin, instead of an open/encode/replace per check.
 
 ``check_many`` materializes the batch, predicts per-program cost with
 the :mod:`repro.solver.router` feature vector, packs cost-balanced bins
@@ -150,6 +150,10 @@ class _BatchState:
         self.race_combined: Dict[Tuple, Tuple] = {}
 
     def trim(self) -> None:
+        """End-of-call (and end-of-bin) cleanup: release the handles'
+        flushed entries and drop the memos once any outgrows its bound."""
+        for handle in self.handles.values():
+            handle.release()
         if (
             len(self.enums) > _MEMO_MAX
             or len(self.base_enums) > _MEMO_MAX
@@ -426,10 +430,7 @@ def _check_one(
     prepared, prep_key = _prepare_shared(state, program, raw, model)
 
     use_sat = engine == "sat" and not naive
-    if engine in ("auto", "portfolio") and not naive:
-        # Portfolio's process racing is nondeterministic by design; in
-        # bulk mode it degrades to its own auto-routing fallback so the
-        # batch stays deterministic and memo-shareable.
+    if engine == "auto" and not naive:
         decision = state.decisions.get(prep_key)
         if decision is None:
             from repro.solver.router import decide

@@ -2,12 +2,9 @@
 
 Subcommands:
 
-- ``figures`` — regenerate every table/figure artifact (previously
-  ``python -m repro.eval.reporting``);
-- ``bench`` — the perf/regression harness writing ``BENCH_<date>.json``
-  (previously ``python -m repro.perf.bench``);
-- ``audit`` — parallel litmus-corpus verdict audit (previously
-  ``python -m repro.perf.audit``);
+- ``figures`` — regenerate every table/figure artifact;
+- ``bench`` — the perf/regression harness writing ``BENCH_<date>.json``;
+- ``audit`` — parallel litmus-corpus verdict audit;
 - ``trace`` — record one simulation or one litmus enumeration to JSONL
   and Chrome ``trace_event`` files (see :mod:`repro.obs`);
 - ``litmus`` — check one library litmus test against all three models
@@ -19,8 +16,7 @@ Subcommands:
 The shared flags ``--jobs``, ``--out`` and ``--trace`` are declared once
 here and inherited by every subcommand; ``--trace`` defaults to the
 ``REPRO_TRACE`` environment variable, so ``REPRO_TRACE=out/ python -m
-repro figures`` traces without touching the command line.  The old
-module entry points remain as thin deprecated shims that forward here.
+repro figures`` traces without touching the command line.
 
 The verdict subcommands (``litmus``, ``audit``) are thin views over the
 :mod:`repro.api` façade — the same code path the service runs — and
@@ -86,14 +82,26 @@ def _shared_flags() -> argparse.ArgumentParser:
              "identical results",
     )
     shared.add_argument(
-        "--relation-backend", choices=("auto", "dense", "numpy", "pairs"),
+        "--relation-backend", choices=("auto", "dense", "pairs"),
         default=None, metavar="B",
         help="relation representation for the model checkers: 'dense' "
              "bitsets, 'pairs' frozensets (the oracle), 'auto' (default) "
-             "picks dense for litmus-sized universes; also settable via "
-             "REPRO_RELATION_BACKEND. Verdicts are identical either way",
+             "picks dense for litmus-sized universes. Verdicts are "
+             "identical either way",
     )
     return shared
+
+
+def _add_check_engine(parser: argparse.ArgumentParser) -> None:
+    """The ``--check-engine`` flag of the verdict subcommands."""
+    parser.add_argument(
+        "--check-engine", choices=("enum", "sat", "auto"),
+        default="enum", metavar="E",
+        help="model-checking engine: 'enum' walks every interleaving, "
+             "'sat' enumerates execution classes with the CDCL solver, "
+             "'auto' routes per program via the calibrated cost model "
+             "(default enum). Verdicts are identical either way",
+    )
 
 
 def _cli_cache(args: argparse.Namespace, default: bool = True) -> bool:
@@ -430,15 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the v1 response envelope (one JSON line) "
                         "instead of per-file text; exit 0 ok / 1 failures "
                         "/ 2 request error")
-    p.add_argument("--check-engine",
-                   choices=("enum", "sat", "auto", "portfolio"),
-                   default="enum", metavar="E",
-                   help="model-checking engine: 'enum' walks every "
-                        "interleaving, 'sat' enumerates execution classes "
-                        "with the CDCL solver, 'auto' routes per program "
-                        "via the calibrated cost model, 'portfolio' races "
-                        "enum against sat and keeps the winner "
-                        "(default enum). Verdicts are identical either way")
+    _add_check_engine(p)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser(
@@ -469,15 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the v1 response envelope (one JSON line) "
                         "instead of per-model text; exit 0 ok / 1 verdict "
                         "mismatch / 2 request error")
-    p.add_argument("--check-engine",
-                   choices=("enum", "sat", "auto", "portfolio"),
-                   default="enum", metavar="E",
-                   help="model-checking engine: 'enum' walks every "
-                        "interleaving, 'sat' enumerates execution classes "
-                        "with the CDCL solver, 'auto' routes per program "
-                        "via the calibrated cost model, 'portfolio' races "
-                        "enum against sat and keeps the winner "
-                        "(default enum). Verdicts are identical either way")
+    _add_check_engine(p)
     p.set_defaults(func=cmd_litmus)
 
     p = sub.add_parser(

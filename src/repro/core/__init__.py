@@ -25,9 +25,7 @@ from repro.core.relations import (
     BACKENDS,
     DenseRelation,
     EventIndex,
-    NumpyRelation,
     Relation,
-    numpy_available,
     resolve_backend,
 )
 from repro.core.system_model import SystemModelReport, run_system_model
@@ -38,7 +36,6 @@ __all__ = [
     "CheckResult",
     "DenseRelation",
     "EventIndex",
-    "NumpyRelation",
     "HerdModel",
     "Race",
     "RaceAnalysis",
@@ -57,7 +54,6 @@ __all__ = [
     "enumerate_sc_executions",
     "is_atomic",
     "is_relaxed",
-    "numpy_available",
     "quantum_equivalent",
     "race_signature",
     "resolve_backend",

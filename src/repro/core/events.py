@@ -16,11 +16,10 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro.core.labels import AtomicKind, is_atomic
 from repro.core.relations import (
-    INDEXED_BACKENDS,
-    NUMPY_BACKEND,
+    DENSE_BACKEND,
+    DenseRelation,
     EventIndex,
     Relation,
-    relation_from_rows,
     resolve_backend,
 )
 
@@ -120,7 +119,7 @@ class Execution:
         rmw_info: Optional[Mapping[int, RmwInfo]] = None,
         backend: Optional[str] = None,
     ):
-        #: Relation backend ("dense" | "numpy" | "pairs" | None for auto); see
+        #: Relation backend ("dense" | "pairs" | None for auto); see
         #: :func:`repro.core.relations.resolve_backend`.
         self._backend = backend
         self.events: Tuple[Event, ...] = tuple(events)
@@ -154,10 +153,7 @@ class Execution:
     def relation(self, pairs: Iterable[Tuple[Event, Event]] = ()):
         """Build a relation over this execution's events in the resolved
         backend — the factory every derived relation goes through."""
-        backend = self.backend
-        if backend == NUMPY_BACKEND:
-            return self.dense_index.numpy_relation(pairs)
-        if backend == "dense":
+        if self.backend == DENSE_BACKEND:
             return self.dense_index.relation(pairs)
         return Relation(pairs)
 
@@ -251,8 +247,7 @@ class Execution:
     def po(self) -> Relation:
         """Program order: same thread, program-text order (transitive)."""
         threads = self._po_threads
-        backend = self.backend
-        if backend in INDEXED_BACKENDS:
+        if self.backend == DENSE_BACKEND:
             # Build the successor rows directly: an event's row is the
             # mask of its thread's later events (dense ids are positions
             # in T, so no per-pair Event hashing).
@@ -264,7 +259,7 @@ class Execution:
                     i = pos[e.eid]
                     rows[i] |= mask_later
                     mask_later |= 1 << i
-            return relation_from_rows(self.dense_index, rows, backend)
+            return DenseRelation(self.dense_index, rows)
         pairs = []
         for evs in threads:
             for i, a in enumerate(evs):
@@ -275,13 +270,12 @@ class Execution:
     def _relation_from_eid_pairs(self, eid_pairs) -> Relation:
         """Relation from (eid, eid) pairs; dense rows are written directly
         from T positions, skipping per-pair Event hashing."""
-        backend = self.backend
-        if backend in INDEXED_BACKENDS:
+        if self.backend == DENSE_BACKEND:
             pos = self._order_pos
             rows = [0] * len(self.order)
             for a, b in eid_pairs:
                 rows[pos[a]] |= 1 << pos[b]
-            return relation_from_rows(self.dense_index, rows, backend)
+            return DenseRelation(self.dense_index, rows)
         return Relation(
             (self.by_eid[a], self.by_eid[b]) for a, b in eid_pairs
         )
@@ -302,8 +296,7 @@ class Execution:
             e = self.by_eid[eid]
             if e.is_write:
                 per_loc.setdefault(e.loc, []).append(e)
-        backend = self.backend
-        if backend in INDEXED_BACKENDS:
+        if self.backend == DENSE_BACKEND:
             pos = self._order_pos
             rows = [0] * len(self.order)
             for writes in per_loc.values():
@@ -312,7 +305,7 @@ class Execution:
                     i = pos[e.eid]
                     rows[i] |= mask_later
                     mask_later |= 1 << i
-            return relation_from_rows(self.dense_index, rows, backend)
+            return DenseRelation(self.dense_index, rows)
         pairs = []
         for writes in per_loc.values():
             for i, a in enumerate(writes):

@@ -28,7 +28,7 @@ from repro.core.labels import AtomicKind
 from repro.core.races import writes_commute
 from repro.core.paths import OperationGraph
 from repro.core.relations import (
-    INDEXED_BACKENDS,
+    DENSE_BACKEND,
     EventIndex,
     Relation,
     at_least_one,
@@ -65,15 +65,9 @@ class HerdModel:
         """The execution's event index when relations evaluate densely."""
         return (
             self.ex.dense_index
-            if self.ex.backend in INDEXED_BACKENDS
+            if self.ex.backend == DENSE_BACKEND
             else None
         )
-
-    @property
-    def _backend(self) -> str:
-        """The resolved backend, forwarded to the relation helpers so
-        the constructed relations match the execution's own."""
-        return self.ex.backend
 
     # --- base relations (program events only; IW excluded as in the listing) ---
     @cached_property
@@ -109,7 +103,7 @@ class HerdModel:
             e for e in self.R if e.label in SYNC_READ_KINDS
         )
         com_plus = (self.rf | self.fr | self.co).transitive_closure()
-        return com_plus & product(sync_w, sync_r, index=self._index, backend=self._backend)
+        return com_plus & product(sync_w, sync_r, index=self._index)
 
     @cached_property
     def hb1(self) -> Relation:
@@ -119,7 +113,7 @@ class HerdModel:
     @cached_property
     def conflict(self) -> Relation:
         """``conflict = at-least-one W & loc``"""
-        alo_w = at_least_one(self.W, self.universe, index=self._index, backend=self._backend)
+        alo_w = at_least_one(self.W, self.universe, index=self._index)
         return alo_w.filter(lambda a, b: a.loc == b.loc and a is not b)
 
     @cached_property
@@ -168,7 +162,7 @@ class HerdModel:
     def comm_race(self) -> Relation:
         alo_comm = at_least_one(
             self.label_set(AtomicKind.COMMUTATIVE), self.universe,
-            index=self._index, backend=self._backend,
+            index=self._index,
         )
         racy_comm = self.race & alo_comm
         comm_race1 = racy_comm - self.comm_pair
@@ -199,7 +193,7 @@ class HerdModel:
     def opath_alo_no(self) -> Relation:
         alo_no = at_least_one(
             self.label_set(AtomicKind.NON_ORDERING), self.universe,
-            index=self._index, backend=self._backend,
+            index=self._index,
         )
         core = self.pco_po & alo_no
         pco_po_alo_no = core | core.compose(self.pco) | self.pco.compose(core)
@@ -246,22 +240,22 @@ class HerdModel:
     def data_race(self) -> Relation:
         alo_data = at_least_one(
             self.label_set(AtomicKind.DATA), self.universe,
-            index=self._index, backend=self._backend,
+            index=self._index,
         )
         return self.race & alo_data
 
     @cached_property
     def quantum_race(self) -> Relation:
         quantum = self.label_set(AtomicKind.QUANTUM)
-        alo_q = at_least_one(quantum, self.universe, index=self._index, backend=self._backend)
-        return (self.race & alo_q) - product(quantum, quantum, index=self._index, backend=self._backend)
+        alo_q = at_least_one(quantum, self.universe, index=self._index)
+        return (self.race & alo_q) - product(quantum, quantum, index=self._index)
 
     @cached_property
     def speculative_race(self) -> Relation:
         spec = self.label_set(AtomicKind.SPECULATIVE)
-        alo_s = at_least_one(spec, self.universe, index=self._index, backend=self._backend)
+        alo_s = at_least_one(spec, self.universe, index=self._index)
         racy_spec = self.race & alo_s
-        spec1 = racy_spec & product(self.W, self.W, index=self._index, backend=self._backend)
+        spec1 = racy_spec & product(self.W, self.W, index=self._index)
         observable = self.deps.domain()
         spec2 = racy_spec.filter(lambda a, b: a in observable or b in observable)
         return spec1 | spec2

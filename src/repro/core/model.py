@@ -41,10 +41,8 @@ MODELS = ("drf0", "drf1", "drfrlx")
 #: explicit interleaving enumerator (the oracle), ``"sat"`` the
 #: solver-backed class enumerator (:mod:`repro.solver`), ``"auto"``
 #: routes each prepared program to whichever of the two the calibrated
-#: cost model (:mod:`repro.solver.router`) predicts faster, and
-#: ``"portfolio"`` races both in child processes and keeps the first
-#: finisher (:mod:`repro.solver.portfolio`).
-ENGINES = ("enum", "sat", "auto", "portfolio")
+#: cost model (:mod:`repro.solver.router`) predicts faster.
+ENGINES = ("enum", "sat", "auto")
 
 #: Fallback gate for ``engine="auto"`` when no router calibration is
 #: loadable (mirrors :data:`repro.solver.router.GATE_STEPS`): stay on
@@ -289,14 +287,12 @@ def check(
     :mod:`repro.solver` (one model per class — verdicts and printed
     witnesses are identical, but ``executions_explored`` counts classes
     and ``truncated_paths`` counts locally truncated thread branches),
-    ``"auto"`` consults the calibrated cost model of
+    and ``"auto"`` consults the calibrated cost model of
     :mod:`repro.solver.router` (falling back to the static
-    :data:`SMALL_PROGRAM_STEPS` gate without a calibration), and
-    ``"portfolio"`` races both engines in child processes and keeps the
-    first finisher (falling back to ``"auto"`` routing where racing is
-    unavailable).  The solver engine falls back to the enumerator when
-    the program exceeds its grounding capacity (deep loops, huge value
-    domains); ``naive=True`` always uses the enumerator.
+    :data:`SMALL_PROGRAM_STEPS` gate without a calibration).  The
+    solver engine falls back to the enumerator when the program exceeds
+    its grounding capacity (deep loops, huge value domains);
+    ``naive=True`` always uses the enumerator.
     :attr:`CheckResult.engine` records the resolved choice.
     """
     if engine not in ENGINES:
@@ -304,21 +300,14 @@ def check(
     prepared = _prepare(program, model)
     engine_used = "enum"
     enumeration = None
-    if engine == "portfolio" and not naive and tracer is None:
-        from repro.solver.portfolio import portfolio_enumeration
-
-        raced = portfolio_enumeration(prepared, max_executions=max_executions)
-        if raced is not None:
-            enumeration, engine_used = raced
-            record_resolution("check_engine_route", f"portfolio:{engine_used}")
     use_sat = engine == "sat"
-    if engine in ("auto", "portfolio") and enumeration is None and not naive:
+    if engine == "auto" and not naive:
         from repro.solver.router import decide
 
         route = decide(prepared)
         use_sat = route.engine == "sat"
         record_resolution("check_engine_route", f"{route.source}:{route.engine}")
-    if use_sat and enumeration is None and not naive:
+    if use_sat and not naive:
         from repro.solver import SolverCapacityError, sat_enumeration
 
         try:
@@ -328,7 +317,7 @@ def check(
             )
             engine_used = "sat"
         except SolverCapacityError:
-            enumeration = None  # fall back to the explicit enumerator
+            pass  # fall back to the explicit enumerator
     if enumeration is None:
         enumeration = enumerate_sc_executions(
             prepared, max_executions=max_executions, naive=naive, cache=cache,

@@ -18,13 +18,7 @@ _CO_LOC_KEY = itemgetter(0)
 from repro.core.events import Execution, RmwInfo
 from repro.core.labels import AtomicKind
 from repro.core.paths import Operation, OperationGraph
-from repro.core.relations import (
-    INDEXED_BACKENDS,
-    DenseRelation,
-    NumpyRelation,
-    Relation,
-    relation_from_rows,
-)
+from repro.core.relations import DENSE_BACKEND, DenseRelation, Relation
 
 
 class _EidPairView:
@@ -46,9 +40,9 @@ class _EidPairView:
 
 def eid_pair_view(execution: Execution, relation) -> object:
     """Eid-pair membership for :meth:`OperationGraph.hb1_holds`: a
-    zero-copy view when *relation* is an indexed bitset (dense or
-    numpy — both expose int ``rows``), a frozenset otherwise."""
-    if isinstance(relation, (DenseRelation, NumpyRelation)):
+    zero-copy view when *relation* is a dense bitset, a frozenset
+    otherwise."""
+    if isinstance(relation, DenseRelation):
         return _EidPairView(relation, execution._order_pos)
     return frozenset((a.eid, b.eid) for a, b in relation)
 
@@ -170,10 +164,8 @@ class RaceAnalysis:
     def hb1(self) -> Relation:
         """Happens-before-1 = (po | so1)+ (Section 2.3.2)."""
         ex = self.execution
-        if ex.backend in INDEXED_BACKENDS:
-            return relation_from_rows(
-                ex.dense_index, self._hb1_rows, ex.backend
-            )
+        if ex.backend == DENSE_BACKEND:
+            return DenseRelation(ex.dense_index, self._hb1_rows)
         return (ex.po | self.so1).transitive_closure()
 
     @cached_property
@@ -222,7 +214,7 @@ class RaceAnalysis:
         return out
 
     def _hb1_ordered(self, a: Operation, b: Operation) -> bool:
-        if self.execution.backend in INDEXED_BACKENDS:
+        if self.execution.backend == DENSE_BACKEND:
             rows = self._hb1_rows
             ids_a, mask_a = self._op_bits[a]
             ids_b, mask_b = self._op_bits[b]
@@ -257,7 +249,7 @@ class RaceAnalysis:
         # EventIndex).  Each op carries the OR of its events' hb1 rows
         # (``out``-reachability) and the mask of its events' T positions,
         # so "some event of a hb1-before some event of b" is one AND.
-        dense = ex.backend in INDEXED_BACKENDS
+        dense = ex.backend == DENSE_BACKEND
         rows = self._hb1_rows if dense else None
         info = []
         for op in self.graph.operations:

@@ -7,40 +7,29 @@ union, intersection, difference, sequential composition (``;``),
 transitive closure (``+``), reflexive-transitive closure (``*``), inverse
 (``^-1``), and restriction to cartesian products of sets (``S1 * S2``).
 
-Three interchangeable backends implement that algebra:
+Two interchangeable backends implement that algebra, one fast path and
+one oracle:
 
-- :class:`Relation` — the original frozenset-of-pairs representation.
-  Fully general (any hashable elements, no universe needed) and the
-  oracle the equivalence tests check against.
 - :class:`DenseRelation` — an index-mapped bitset representation, the
   same technique Herd/memalloy-style tools use for relational model
   checking.  Elements are interned to dense integer ids by an
   :class:`EventIndex`; a relation is one Python-int bitmask per row, and
   union / intersection / difference / compose / closure / inverse /
   restrict become bit-parallel integer operations.
-- :class:`NumpyRelation` — the same bitset semantics on a
-  ``(n, ceil(n/64))`` ``uint64`` tiled bit-matrix.  Set algebra is
-  whole-array bitwise ops, composition is a boolean matrix product,
-  transitive closure is blocked bit-Warshall over 64-wide words (with
-  the same one-pass reverse-accumulation fast path for T-forward DAG
-  edge sets), and acyclicity is a vectorized Kahn peel.  Requires numpy
-  (``pip install repro[fast]``); pays off on universes of hundreds of
-  events and beyond, where single Python-int rows stop being one
-  machine word.
+- :class:`Relation` — the original frozenset-of-pairs representation.
+  Fully general (any hashable elements, no universe needed) and the
+  oracle the equivalence tests check against.
 
-All classes expose the same public surface and compare equal (and hash
-equal) when they contain the same pairs, so any can flow through the
-model code.  :func:`resolve_backend` picks the backend: ``"dense"``,
-``"numpy"`` or ``"pairs"`` explicitly, ``"auto"``/``None`` selects
-dense whenever the universe is small enough (every litmus execution
-is) and the tiled numpy backend past that (falling back to the
-pair-set backend when numpy is not installed), overridable via the
-``REPRO_RELATION_BACKEND`` environment variable.
+Both classes expose the same public surface and compare equal (and hash
+equal) when they contain the same pairs, so either can flow through the
+model code.  :func:`resolve_backend` picks the backend: ``"dense"`` or
+``"pairs"`` explicitly, while ``"auto"``/``None`` selects dense whenever
+the universe has at most :data:`DENSE_MAX_ELEMENTS` elements (every
+litmus execution does) and pair-sets past that.
 """
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from typing import (
     AbstractSet,
@@ -56,37 +45,17 @@ from typing import (
     Tuple,
 )
 
-try:  # optional dependency (``pip install repro[fast]``)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via import blocking
-    _np = None
-
 Pair = Tuple[Hashable, Hashable]
 
 #: Backend names accepted everywhere a ``backend=`` parameter appears.
 PAIRS_BACKEND = "pairs"
 DENSE_BACKEND = "dense"
-NUMPY_BACKEND = "numpy"
-BACKENDS = (DENSE_BACKEND, NUMPY_BACKEND, PAIRS_BACKEND)
-
-#: Backends whose relations are index-mapped bitsets built from integer
-#: rows (everything except the pair-set oracle).  Model code that
-#: constructs rows directly branches on membership here.
-INDEXED_BACKENDS = (DENSE_BACKEND, NUMPY_BACKEND)
-
-#: Environment variable overriding the ``auto`` backend choice.
-BACKEND_ENV = "REPRO_RELATION_BACKEND"
+BACKENDS = (DENSE_BACKEND, PAIRS_BACKEND)
 
 #: ``auto`` leaves the single-int-row dense backend above this universe
-#: size: beyond it the rows stop fitting comfortably in single machine
-#: words, and the tiled numpy backend (or, without numpy, the pair-set
-#: backend) takes over.
+#: size: beyond it the rows stop fitting comfortably in machine words,
+#: and the pair-set backend takes over.
 DENSE_MAX_ELEMENTS = 512
-
-
-def numpy_available() -> bool:
-    """Whether the optional numpy dependency is importable."""
-    return _np is not None
 
 
 def resolve_backend(
@@ -94,38 +63,22 @@ def resolve_backend(
 ) -> str:
     """Resolve a ``backend=`` argument to a concrete backend name.
 
-    ``None``/``"auto"`` consults :data:`BACKEND_ENV`, then picks dense
-    up to :data:`DENSE_MAX_ELEMENTS` elements and the tiled numpy
-    backend past that (pair-sets when numpy is not installed).  Unknown
-    values — from the argument or the environment variable — raise with
-    the allowed set; the resolved choice is recorded once per process
-    via :func:`repro.obs.metrics.record_resolution`.
+    ``None``/``"auto"`` picks dense up to :data:`DENSE_MAX_ELEMENTS`
+    elements and pair-sets past that.  Unknown values raise with the
+    allowed set; the resolved choice is recorded once per process via
+    :func:`repro.obs.metrics.record_resolution`.
     """
-    choice = backend
-    source = "backend argument"
-    if choice is None or choice == "auto":
-        env = os.environ.get(BACKEND_ENV, "").strip()
-        if env:
-            choice = env
-            source = f"{BACKEND_ENV} environment variable"
-        else:
-            choice = "auto"
+    choice = "auto" if backend is None else backend
     if choice != "auto" and choice not in BACKENDS:
         raise ValueError(
-            f"unknown relation backend {choice!r} (from {source}); "
+            f"unknown relation backend {choice!r}; "
             f"allowed values: {', '.join(BACKENDS + ('auto',))}"
         )
     if choice == "auto":
         if n_elements is not None and n_elements > DENSE_MAX_ELEMENTS:
-            choice = NUMPY_BACKEND if _np is not None else PAIRS_BACKEND
+            choice = PAIRS_BACKEND
         else:
             choice = DENSE_BACKEND
-    elif choice == NUMPY_BACKEND and _np is None:
-        raise RuntimeError(
-            f"relation backend 'numpy' (from {source}) requires numpy "
-            "(pip install repro[fast]); use 'auto' to fall back "
-            "automatically"
-        )
     from repro.obs.metrics import record_resolution
 
     record_resolution("relation_backend", choice)
@@ -197,26 +150,6 @@ class EventIndex:
 
     def empty(self) -> "DenseRelation":
         return DenseRelation(self, (0,) * len(self.elements))
-
-    def numpy_relation(self, pairs: Iterable[Pair] = ()) -> "NumpyRelation":
-        """Build a :class:`NumpyRelation` over this universe from pairs.
-
-        Raises :class:`KeyError` when a pair element was not interned.
-        """
-        if _np is None:  # pragma: no cover - exercised via import blocking
-            raise RuntimeError("numpy relation requested but numpy is not installed")
-        n = len(self.elements)
-        tiles = _np.zeros((n, _tile_words(n)), dtype=_np.uint64)
-        ids = self.ids
-        plist = [(ids[a], ids[b]) for a, b in pairs]
-        if plist:
-            ia = _np.fromiter((p[0] for p in plist), _np.intp, len(plist))
-            ib = _np.fromiter((p[1] for p in plist), _np.intp, len(plist))
-            bits = _np.left_shift(
-                _np.uint64(1), (ib & 63).astype(_np.uint64)
-            )
-            _np.bitwise_or.at(tiles, (ia, ib >> 6), bits)
-        return NumpyRelation(self, tiles)
 
 
 class _RelationOps:
@@ -467,10 +400,6 @@ class DenseRelation(_RelationOps):
             if other.index is self.index:
                 return other
             return self.index.relation(other.pairs)
-        if isinstance(other, NumpyRelation):
-            if other.index is self.index:
-                return DenseRelation(self.index, other.rows)
-            return self.index.relation(other.pairs)
         if isinstance(other, Relation):
             return self.index.relation(other.pairs)
         raise TypeError(f"not a relation: {other!r}")
@@ -678,471 +607,18 @@ class DenseRelation(_RelationOps):
         return DenseRelation(self.index, rows)
 
 
-# -- tiled uint64 bit-matrix helpers (numpy backend) --------------------------
-#
-# A relation over n elements is an (n, ceil(n/64)) C-contiguous uint64
-# array; bit j of tiles[i, j >> 6] is set iff (elements[i], elements[j])
-# is in the relation.  Words use little-endian bit order, so a row's
-# bytes concatenate directly into the dense backend's Python-int rows.
-# Bits at positions >= n ("tail bits" of the last word) are always zero.
-
-
-def _tile_words(n: int) -> int:
-    """Words per row of an *n*-element universe."""
-    return (n + 63) >> 6
-
-
-def _tiles_from_rows(rows: Sequence[int], n: int):
-    """Pack dense Python-int rows into an (n, w) uint64 tile array."""
-    w = _tile_words(n)
-    if n == 0:
-        return _np.zeros((0, w), dtype=_np.uint64)
-    buf = b"".join(row.to_bytes(w * 8, "little") for row in rows)
-    return _np.frombuffer(buf, dtype="<u8").reshape(n, w).astype(
-        _np.uint64, copy=True
-    )
-
-
-def _rows_from_tiles(tiles) -> Tuple[int, ...]:
-    """Unpack an (n, w) tile array into dense Python-int rows."""
-    n = tiles.shape[0]
-    if n == 0:
-        return ()
-    stride = tiles.shape[1] * 8
-    data = _np.ascontiguousarray(tiles).astype("<u8", copy=False).tobytes()
-    return tuple(
-        int.from_bytes(data[i * stride : (i + 1) * stride], "little")
-        for i in range(n)
-    )
-
-
-def _words_from_mask(mask: int, w: int):
-    """One int bitmask -> a (w,) uint64 word vector."""
-    return _np.frombuffer(mask.to_bytes(w * 8, "little"), dtype="<u8").astype(
-        _np.uint64, copy=True
-    )
-
-
-def _mask_from_words(words) -> int:
-    """A (w,) uint64 word vector -> one int bitmask."""
-    return int.from_bytes(
-        _np.ascontiguousarray(words).astype("<u8", copy=False).tobytes(),
-        "little",
-    )
-
-
-def _unpack_tiles(tiles, n):
-    """(rows, w) uint64 tiles -> (rows, n) bool matrix."""
-    if tiles.shape[0] == 0 or n == 0:
-        return _np.zeros((tiles.shape[0], n), dtype=bool)
-    bits = _np.unpackbits(
-        _np.ascontiguousarray(tiles).astype("<u8", copy=False).view(_np.uint8),
-        axis=1,
-        bitorder="little",
-    )
-    return bits[:, :n].astype(bool, copy=False)
-
-
-def _pack_bool(bits):
-    """(rows, n) bool matrix -> (rows, w) uint64 tiles."""
-    r, n = bits.shape
-    w = _tile_words(n)
-    packed = _np.packbits(bits, axis=1, bitorder="little")
-    out = _np.zeros((r, w * 8), dtype=_np.uint8)
-    out[:, : packed.shape[1]] = packed
-    return out.view("<u8").astype(_np.uint64, copy=False)
-
-
-#: Cached (per universe size) inclusive lower-triangular tile matrices:
-#: row i has bits 0..i set.  Used by the T-forward DAG check in
-#: :meth:`NumpyRelation.transitive_closure`.
-_LOWER_TRI_CACHE: Dict[int, object] = {}
-
-
-def _lower_tri_tiles(n: int):
-    cached = _LOWER_TRI_CACHE.get(n)
-    if cached is None:
-        cached = _tiles_from_rows([(1 << (i + 1)) - 1 for i in range(n)], n)
-        cached.setflags(write=False)
-        _LOWER_TRI_CACHE[n] = cached
-    return cached
-
-
-#: Above this universe size, composition switches from the BLAS boolean
-#: matmul (fast, but O(n^2) float32 temporaries) to a row-gather loop.
-_COMPOSE_MATMUL_MAX = 4096
-
-
-class NumpyRelation(_RelationOps):
-    """An immutable finite binary relation as a tiled uint64 bit-matrix.
-
-    Semantically identical to :class:`DenseRelation` over the same
-    :class:`EventIndex`; the rows live in one ``(n, ceil(n/64))``
-    ``uint64`` array instead of per-row Python ints, so the set algebra,
-    composition, closure, and acyclicity checks run as whole-array numpy
-    operations.  ``rows`` is still available (computed lazily) for code
-    that consumes int bitmask rows directly.
-    """
-
-    __slots__ = ("index", "tiles", "_rows_cache", "_pairs_cache")
-
-    def __init__(self, index: EventIndex, tiles):
-        if _np is None:  # pragma: no cover - exercised via import blocking
-            raise RuntimeError("NumpyRelation requires numpy")
-        n = len(index.elements)
-        w = _tile_words(n)
-        tiles = _np.ascontiguousarray(tiles, dtype=_np.uint64)
-        if tiles.shape != (n, w):
-            raise ValueError(
-                f"tile shape {tiles.shape} for a universe of {n} elements "
-                f"(expected {(n, w)})"
-            )
-        self.index = index
-        self.tiles = tiles
-        self._rows_cache: Optional[Tuple[int, ...]] = None
-        self._pairs_cache: Optional[FrozenSet[Pair]] = None
-
-    @classmethod
-    def from_pairs(
-        cls, index: EventIndex, pairs: Iterable[Pair]
-    ) -> "NumpyRelation":
-        return index.numpy_relation(pairs)
-
-    @classmethod
-    def from_rows(
-        cls, index: EventIndex, rows: Sequence[int]
-    ) -> "NumpyRelation":
-        return cls(index, _tiles_from_rows(rows, len(index.elements)))
-
-    @property
-    def rows(self) -> Tuple[int, ...]:
-        """Dense Python-int successor bitmask rows (lazily unpacked)."""
-        cached = self._rows_cache
-        if cached is None:
-            cached = _rows_from_tiles(self.tiles)
-            self._rows_cache = cached
-        return cached
-
-    # -- basic container protocol -------------------------------------------------
-    def __contains__(self, pair: Pair) -> bool:
-        a, b = pair
-        ids = self.index.ids
-        ia = ids.get(a)
-        ib = ids.get(b)
-        if ia is None or ib is None:
-            return False
-        return self.contains_ids(ia, ib)
-
-    def contains_ids(self, ia: int, ib: int) -> bool:
-        """Membership by interned ids (the hot-path query)."""
-        return bool(int(self.tiles[ia, ib >> 6]) >> (ib & 63) & 1)
-
-    def __iter__(self) -> Iterator[Pair]:
-        elements = self.index.elements
-        for i, row in enumerate(self.rows):
-            if row:
-                a = elements[i]
-                for j in _iter_bits(row):
-                    yield (a, elements[j])
-
-    def __len__(self) -> int:
-        popcount = getattr(_np, "bitwise_count", None)
-        if popcount is not None:
-            return int(popcount(self.tiles).sum())
-        return sum(row.bit_count() for row in self.rows)
-
-    def __bool__(self) -> bool:
-        return bool(self.tiles.any())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, NumpyRelation):
-            if other.index is self.index:
-                return bool(_np.array_equal(self.tiles, other.tiles))
-            return self.pairs == other.pairs
-        if isinstance(other, DenseRelation):
-            if other.index is self.index:
-                return self.rows == other.rows
-            return self.pairs == other.pairs
-        if isinstance(other, Relation):
-            return self.pairs == other.pairs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
-    def __repr__(self) -> str:
-        shown = sorted(self.pairs, key=repr)
-        return f"NumpyRelation({shown!r})"
-
-    @property
-    def pairs(self) -> FrozenSet[Pair]:
-        cached = self._pairs_cache
-        if cached is None:
-            cached = frozenset(iter(self))
-            self._pairs_cache = cached
-        return cached
-
-    # -- coercion ----------------------------------------------------------------
-    def _coerce(self, other: "RelationLike") -> "NumpyRelation":
-        """Bring *other* onto this relation's index as tiles.
-
-        Raises :class:`KeyError` when *other* mentions an element outside
-        this universe; binary operators fall back to the pair-set backend
-        in that case, mirroring :class:`DenseRelation`.
-        """
-        if isinstance(other, NumpyRelation):
-            if other.index is self.index:
-                return other
-            return self.index.numpy_relation(other.pairs)
-        if isinstance(other, DenseRelation):
-            if other.index is self.index:
-                return NumpyRelation.from_rows(self.index, other.rows)
-            return self.index.numpy_relation(other.pairs)
-        if isinstance(other, Relation):
-            return self.index.numpy_relation(other.pairs)
-        raise TypeError(f"not a relation: {other!r}")
-
-    def _pairwise(self) -> Relation:
-        return Relation(self.pairs)
-
-    # -- set-algebra operators ----------------------------------------------------
-    def __or__(self, other: "RelationLike") -> "RelationLike":
-        try:
-            o = self._coerce(other)
-        except KeyError:
-            return self._pairwise() | Relation(other.pairs)
-        return NumpyRelation(self.index, self.tiles | o.tiles)
-
-    def __ror__(self, other: "RelationLike") -> "RelationLike":
-        return self.__or__(other)
-
-    def __and__(self, other: "RelationLike") -> "RelationLike":
-        try:
-            o = self._coerce(other)
-        except KeyError:
-            return self._pairwise() & Relation(other.pairs)
-        return NumpyRelation(self.index, self.tiles & o.tiles)
-
-    def __rand__(self, other: "RelationLike") -> "RelationLike":
-        return self.__and__(other)
-
-    def __sub__(self, other: "RelationLike") -> "RelationLike":
-        try:
-            o = self._coerce(other)
-        except KeyError:
-            return self._pairwise() - Relation(other.pairs)
-        # ~o.tiles sets the tail bits past n, but &-ing with self.tiles
-        # (whose tail bits are zero by invariant) clears them again.
-        return NumpyRelation(self.index, self.tiles & ~o.tiles)
-
-    def __rsub__(self, other: "RelationLike") -> "RelationLike":
-        try:
-            o = self._coerce(other)
-        except KeyError:
-            return Relation(other.pairs) - self._pairwise()
-        return NumpyRelation(self.index, o.tiles & ~self.tiles)
-
-    # -- relational operators -----------------------------------------------------
-    def compose(self, other: "RelationLike") -> "RelationLike":
-        """Sequential composition ``self ; other``.
-
-        Boolean matrix product: for universes up to
-        :data:`_COMPOSE_MATMUL_MAX` the bit-matrices are unpacked to
-        float32 and multiplied through BLAS; past that a row-gather loop
-        ORs the needed rows of *other* without the O(n^2) temporaries.
-        """
-        try:
-            o = self._coerce(other)
-        except KeyError:
-            return self._pairwise().compose(Relation(other.pairs))
-        n = len(self.index.elements)
-        if n == 0:
-            return self
-        a_bool = _unpack_tiles(self.tiles, n)
-        if n <= _COMPOSE_MATMUL_MAX:
-            b_bool = _unpack_tiles(o.tiles, n)
-            prod = a_bool.astype(_np.float32) @ b_bool.astype(_np.float32)
-            return NumpyRelation(self.index, _pack_bool(prod > 0.5))
-        out = _np.zeros_like(o.tiles)
-        for i in range(n):
-            mask = a_bool[i]
-            if mask.any():
-                out[i] = _np.bitwise_or.reduce(o.tiles[mask], axis=0)
-        return NumpyRelation(self.index, out)
-
-    def inverse(self) -> "NumpyRelation":
-        n = len(self.index.elements)
-        return NumpyRelation(
-            self.index, _pack_bool(_unpack_tiles(self.tiles, n).T)
-        )
-
-    def transitive_closure(self) -> "NumpyRelation":
-        """Irreflexive transitive closure, blocked over 64-wide words.
-
-        Same two regimes as :meth:`DenseRelation.transitive_closure`:
-        when every edge goes T-forward in id order (execution ids are
-        positions in the SC total order, so po/so1/hb edges all do), one
-        reverse accumulation pass closes the relation in O(edges) row
-        ORs; otherwise bit-Warshall runs with each intermediate node k
-        updating all rows at once — the column of k is extracted from
-        word ``k >> 6`` and the selected rows get ``|= rows[k]`` as one
-        masked whole-array OR.
-        """
-        n = len(self.index.elements)
-        if n == 0 or not self.tiles.any():
-            return self
-        tiles = self.tiles.copy()
-        forward = not bool((tiles & _lower_tri_tiles(n)).any())
-        if forward:
-            for i in range(n - 1, -1, -1):
-                mask = _unpack_tiles(tiles[i : i + 1], n)[0]
-                if mask.any():
-                    tiles[i] |= _np.bitwise_or.reduce(tiles[mask], axis=0)
-            return NumpyRelation(self.index, tiles)
-        one = _np.uint64(1)
-        for k in range(n):
-            rk = tiles[k]
-            if not rk.any():
-                continue
-            # Fresh column read each k: updates from earlier k in the
-            # same word must be visible (Warshall is order-sensitive).
-            col = (tiles[:, k >> 6] >> _np.uint64(k & 63)) & one
-            mask = col.astype(bool)
-            if mask.any():
-                tiles[mask] |= rk
-        return NumpyRelation(self.index, tiles)
-
-    def reflexive_closure_over(
-        self, domain: Iterable[Hashable]
-    ) -> "RelationLike":
-        domain = tuple(domain)
-        ids = self.index.ids
-        if any(x not in ids for x in domain):
-            return self._pairwise().reflexive_closure_over(domain)
-        tiles = self.tiles.copy()
-        if domain:
-            di = _np.fromiter(
-                (ids[x] for x in domain), _np.intp, len(domain)
-            )
-            bits = _np.left_shift(_np.uint64(1), (di & 63).astype(_np.uint64))
-            _np.bitwise_or.at(tiles, (di, di >> 6), bits)
-        return NumpyRelation(self.index, tiles)
-
-    def is_acyclic(self) -> bool:
-        """Vectorized Kahn peel: repeatedly drop every node with no
-        incoming edge among the still-active nodes; a fixed point with
-        edges remaining means a cycle.  Each round is two whole-array
-        ops (mask columns, OR-reduce rows), and the round count is
-        bounded by the longest path."""
-        n = len(self.index.elements)
-        if n == 0 or not self.tiles.any():
-            return True
-        tiles = self.tiles
-        # Self-loops are cycles; the peel below also catches them, but
-        # the diagonal check exits without any rounds.
-        idx = _np.arange(n)
-        diag = (tiles[idx, idx >> 6] >> (idx & 63).astype(_np.uint64)) & _np.uint64(1)
-        if diag.any():
-            return False
-        active = _np.ones(n, dtype=bool)
-        col_mask = _pack_bool(active[None, :])[0]
-        while True:
-            sub = tiles[active] & col_mask
-            if sub.size == 0:
-                return True
-            incoming = _np.bitwise_or.reduce(sub, axis=0)
-            if not incoming.any():
-                return True  # no edges among active nodes
-            has_incoming = _unpack_tiles(incoming[None, :], n)[0]
-            new_active = active & has_incoming
-            if new_active.sum() == active.sum():
-                return False  # nothing peeled: every active node is on a cycle path
-            active = new_active
-            col_mask = _pack_bool(active[None, :])[0]
-
-    def restrict(
-        self, first: AbstractSet, second: AbstractSet
-    ) -> "NumpyRelation":
-        """Restriction ``self & (first * second)``."""
-        index = self.index
-        n = len(index.elements)
-        w = _tile_words(n)
-        mask_second = _words_from_mask(index.mask_of(second), w)
-        ids = index.ids
-        sel = _np.zeros(n, dtype=bool)
-        for x in first:
-            i = ids.get(x)
-            if i is not None:
-                sel[i] = True
-        tiles = _np.where(sel[:, None], self.tiles & mask_second, _np.uint64(0))
-        return NumpyRelation(index, tiles)
-
-    def domain(self) -> FrozenSet[Hashable]:
-        elements = self.index.elements
-        nonzero = self.tiles.any(axis=1)
-        return frozenset(elements[i] for i in _np.flatnonzero(nonzero))
-
-    def codomain(self) -> FrozenSet[Hashable]:
-        if self.tiles.shape[0] == 0:
-            return frozenset()
-        mask = _mask_from_words(_np.bitwise_or.reduce(self.tiles, axis=0))
-        elements = self.index.elements
-        return frozenset(elements[j] for j in _iter_bits(mask))
-
-    def elements(self) -> FrozenSet[Hashable]:
-        return self.domain() | self.codomain()
-
-    def successors(self, node: Hashable) -> FrozenSet[Hashable]:
-        i = self.index.ids.get(node)
-        if i is None:
-            return frozenset()
-        elements = self.index.elements
-        row = _mask_from_words(self.tiles[i])
-        return frozenset(elements[j] for j in _iter_bits(row))
-
-    def filter(self, predicate) -> "NumpyRelation":
-        """Keep only pairs for which ``predicate(a, b)`` holds."""
-        elements = self.index.elements
-        rows: List[int] = []
-        for i, row in enumerate(self.rows):
-            if not row:
-                rows.append(0)
-                continue
-            a = elements[i]
-            out = 0
-            for j in _iter_bits(row):
-                if predicate(a, elements[j]):
-                    out |= 1 << j
-            rows.append(out)
-        return NumpyRelation.from_rows(self.index, rows)
-
-
-#: Either backend; all expose the same public surface.
-RelationLike = Relation  # for annotations; Dense/NumpyRelation are duck-equal
-
-
-def relation_from_rows(
-    index: EventIndex, rows: Sequence[int], backend: str = DENSE_BACKEND
-) -> "RelationLike":
-    """Wrap dense Python-int successor rows in the indexed backend
-    *backend* (``"dense"`` or ``"numpy"``).  The model code builds rows
-    directly on its hot paths and hands them here, so construction cost
-    stays one wrap regardless of backend."""
-    if backend == NUMPY_BACKEND:
-        return NumpyRelation.from_rows(index, rows)
-    return DenseRelation(index, rows)
+#: Either backend; both expose the same public surface.
+RelationLike = Relation  # for annotations; DenseRelation is duck-equal
 
 
 def product(
     first: AbstractSet,
     second: AbstractSet,
     index: Optional[EventIndex] = None,
-    backend: str = DENSE_BACKEND,
 ) -> "RelationLike":
     """Herd's ``S1 * S2`` cartesian-product relation.
 
-    With *index*, builds the product densely in O(|first|) row writes,
-    wrapped in the indexed *backend*.
+    With *index*, builds the product densely in O(|first|) row writes.
     """
     if index is not None:
         mask_second = index.mask_of(second)
@@ -1152,7 +628,7 @@ def product(
             mask_second if i in first_ids else 0
             for i in range(len(index.elements))
         ]
-        return relation_from_rows(index, rows, backend)
+        return DenseRelation(index, rows)
     return Relation((a, b) for a in first for b in second)
 
 
@@ -1160,7 +636,6 @@ def at_least_one(
     subset: AbstractSet,
     universe: AbstractSet,
     index: Optional[EventIndex] = None,
-    backend: str = DENSE_BACKEND,
 ) -> "RelationLike":
     """Herd's ``at-least-one S = S*_ | _*S``: pairs touching *subset*."""
     if index is not None:
@@ -1175,7 +650,7 @@ def at_least_one(
             else 0
             for i in range(len(index.elements))
         ]
-        return relation_from_rows(index, rows, backend)
+        return DenseRelation(index, rows)
     pairs = set()
     for a in universe:
         for b in universe:
@@ -1187,7 +662,6 @@ def at_least_one(
 def identity(
     domain: Iterable[Hashable],
     index: Optional[EventIndex] = None,
-    backend: str = DENSE_BACKEND,
 ) -> "RelationLike":
     if index is not None:
         rows = [0] * len(index.elements)
@@ -1195,33 +669,20 @@ def identity(
         for x in domain:
             i = ids[x]
             rows[i] |= 1 << i
-        return relation_from_rows(index, rows, backend)
+        return DenseRelation(index, rows)
     return Relation((x, x) for x in domain)
 
 
 def union_all(
     relations: Iterable["RelationLike"],
     index: Optional[EventIndex] = None,
-    backend: str = DENSE_BACKEND,
 ) -> "RelationLike":
     relations = list(relations)
     if index is not None:
-        if backend == NUMPY_BACKEND:
-            n = len(index.elements)
-            acc = _np.zeros((n, _tile_words(n)), dtype=_np.uint64)
-            for rel in relations:
-                if isinstance(rel, NumpyRelation) and rel.index is index:
-                    acc |= rel.tiles
-                elif isinstance(rel, DenseRelation) and rel.index is index:
-                    acc |= _tiles_from_rows(rel.rows, n)
-                else:
-                    acc |= index.numpy_relation(rel.pairs).tiles
-            return NumpyRelation(index, acc)
         rows = [0] * len(index.elements)
         for rel in relations:
             dense = rel if (
-                isinstance(rel, (DenseRelation, NumpyRelation))
-                and rel.index is index
+                isinstance(rel, DenseRelation) and rel.index is index
             ) else index.relation(rel.pairs)
             rows = [a | b for a, b in zip(rows, dense.rows)]
         return DenseRelation(index, rows)

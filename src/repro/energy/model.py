@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.sim import stats as S
-from repro.sim.stats import SimStats
+from repro.obs import metrics as S
+from repro.obs.metrics import MetricSet
 
 #: Component names in Figure 3b/4b order.
 COMPONENTS = ("gpu_core", "scratchpad", "l1", "l2", "network")
@@ -37,7 +37,7 @@ class EnergyModel:
     l2_atomic_nj: float = 0.180  # RMW at an L2 bank (GPU coherence)
     noc_flit_hop_nj: float = 0.045  # per flit per hop (router + link)
 
-    def breakdown(self, stats: SimStats) -> Dict[str, float]:
+    def breakdown(self, stats: MetricSet) -> Dict[str, float]:
         """Dynamic energy per component, in nJ."""
         return {
             "gpu_core": self.core_op_nj * stats.get(S.CORE_OP),
@@ -54,7 +54,7 @@ class EnergyModel:
             "network": self.noc_flit_hop_nj * stats.get(S.NOC_FLIT_HOPS),
         }
 
-    def total(self, stats: SimStats) -> float:
+    def total(self, stats: MetricSet) -> float:
         return sum(self.breakdown(stats).values())
 
 
@@ -62,7 +62,7 @@ DEFAULT_ENERGY_MODEL = EnergyModel()
 
 
 def normalized_breakdown(
-    stats: SimStats,
+    stats: MetricSet,
     baseline_total: float,
     model: EnergyModel = DEFAULT_ENERGY_MODEL,
 ) -> Dict[str, float]:

@@ -10,7 +10,6 @@ from repro.eval.harness import (
     run_figure3,
     run_figure4,
     run_sweep,
-    run_sweep_parallel,
 )
 from repro.eval.reporting import generate_all, headline_averages
 
@@ -26,5 +25,4 @@ __all__ = [
     "run_figure3",
     "run_figure4",
     "run_sweep",
-    "run_sweep_parallel",
 ]

@@ -29,7 +29,6 @@ has no events to record), and so do workloads registered outside
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -377,27 +376,6 @@ def run_sweep(
         assert obs is not None
         sweep.add(obs)
     return sweep
-
-
-def run_sweep_parallel(
-    workload_names: Sequence[str],
-    config: SystemConfig = INTEGRATED,
-    scale: float = 1.0,
-    energy_model: EnergyModel = DEFAULT_ENERGY_MODEL,
-    jobs: Optional[int] = None,
-    trace_dir: Optional[str] = None,
-) -> SweepResult:
-    """Deprecated alias for ``run_sweep(..., jobs=jobs)`` (default:
-    auto-resolved worker count)."""
-    warnings.warn(
-        "run_sweep_parallel is deprecated; use run_sweep(..., jobs=N) "
-        "(jobs=None auto-resolves the worker count)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_sweep(
-        workload_names, config, scale, energy_model, jobs=jobs, trace_dir=trace_dir
-    )
 
 
 def micro_names() -> Tuple[str, ...]:

@@ -1,13 +1,11 @@
 """Top-level reporting: regenerate every table and figure in one call.
 
-``python -m repro figures`` writes all artifacts to ``results/``
-(``python -m repro.eval.reporting`` is a deprecated alias).
+``python -m repro figures`` writes all artifacts to ``results/``.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from typing import Dict, Optional
 
 from repro.eval import figures, tables
@@ -91,32 +89,3 @@ def generate_all(
         with open(os.path.join(csv_dir, f"{stem}b_energy.csv"), "w") as handle:
             handle.write(energy_csv(sweep))
     return artifacts
-
-
-def main(argv=None) -> int:
-    """Deprecated shim: forwards to ``python -m repro figures``."""
-    import warnings
-
-    warnings.warn(
-        "`python -m repro.eval.reporting` is deprecated; "
-        "use `python -m repro figures` (the repro.api façade underneath)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    print(
-        "note: `python -m repro.eval.reporting` is deprecated; "
-        "use `python -m repro figures`",
-        file=sys.stderr,
-    )
-    from repro.cli import main as cli_main
-
-    args = list(argv) if argv is not None else sys.argv[1:]
-    # The old entry point took a single optional positional scale.
-    forwarded = ["figures"]
-    if args:
-        forwarded += ["--scale", args[0]]
-    return cli_main(forwarded)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

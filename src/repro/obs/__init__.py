@@ -8,8 +8,8 @@ Three pieces (see ``docs/observability.md``):
 - :mod:`repro.obs.export` / :mod:`repro.obs.timeline` — JSONL and Chrome
   ``trace_event`` exporters (Perfetto-loadable) and a cycle-bucketed
   aggregator for utilization/occupancy series;
-- :mod:`repro.obs.metrics` — the typed metrics registry behind
-  ``repro.sim.stats``.
+- :mod:`repro.obs.metrics` — the typed registry of the simulator's
+  event counters.
 """
 
 from repro.obs.export import (

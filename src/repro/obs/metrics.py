@@ -1,16 +1,15 @@
 """Typed metrics registry for the simulator's event counters.
 
-Historically :mod:`repro.sim.stats` held a bag of bare string constants
-and an untyped ``Counter``.  The registry keeps the string *values*
-(every existing call site, stored artifact, and test keys by them) but
-types each counter as a :class:`Metric` — a ``str`` subclass carrying
-the owning component, unit, and description — so the energy model,
-reports, and exporters can group and document counters instead of
-pattern-matching names.
+These are the raw inputs to the energy model (Section 4.2: GPUWattch for
+the GPU cores, McPAT for the NoC) and to the reported statistics.  Each
+counter keeps a plain string *value* (every call site, stored artifact,
+and test keys by it) but is typed as a :class:`Metric` — a ``str``
+subclass carrying the owning component, unit, and description — so the
+energy model, reports, and exporters can group and document counters
+instead of pattern-matching names.  The simulator imports this module
+as ``from repro.obs import metrics as S``.
 
-:class:`MetricSet` is the counter bag; ``repro.sim.stats.SimStats`` is a
-thin compatibility alias for it and re-exports every metric constant, so
-``from repro.sim import stats as S`` code keeps working unchanged.  All
+:class:`MetricSet` is the counter bag.  All
 counter values are coerced to ``float`` at :meth:`MetricSet.bump` time
 (``get`` used to return ``0.0`` for absent names but ``int`` for
 counters bumped with integer amounts).

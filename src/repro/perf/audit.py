@@ -14,7 +14,6 @@ checker-heavy parallel workload.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -102,32 +101,3 @@ def audit_corpus(
         if filename.endswith(".litmus")
     ]
     return tuple(parallel_map(_audit_file, tasks, jobs=jobs))
-
-
-def main(argv=None) -> int:
-    """Deprecated shim: forwards to ``python -m repro audit``."""
-    import warnings
-
-    warnings.warn(
-        "`python -m repro.perf.audit` is deprecated; "
-        "use `python -m repro audit` (the repro.api façade underneath)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    print(
-        "note: `python -m repro.perf.audit` is deprecated; "
-        "use `python -m repro audit`",
-        file=sys.stderr,
-    )
-    from repro.cli import main as cli_main
-
-    args = argv if argv is not None else sys.argv[1:]
-    # The old entry point took a single optional positional worker count.
-    forwarded = ["audit"]
-    if args:
-        forwarded += ["--jobs", str(args[0])]
-    return cli_main(forwarded)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

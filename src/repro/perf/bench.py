@@ -4,9 +4,7 @@ Measures (1) SC-execution enumeration over the litmus corpus — default
 engine (POR + memo + copy-on-write prefixes) vs the naive full-clone
 oracle — (2) full-corpus race classification under all three models —
 bitset relations + execution-class dedup vs the pair-set per-execution
-oracle, with the tiled-numpy backend alongside when numpy is importable,
-plus a large-universe transitive-closure kernel where the tiled backend
-is the point (the ``relcheck`` section) — (3) a scaled Figure-3 sweep —
+oracle (the ``relcheck`` section) — (3) a scaled Figure-3 sweep —
 serial vs process-pool parallel — (4) the trace-compiled and
 numpy-vectorized simulator engines vs the reference interpreter on a
 cold sweep — (5) the result cache — cold (populating) vs fully warm
@@ -24,8 +22,7 @@ byte-identical (parallel vs serial; compiled and vectorized vs
 reference).
 
 Run ``python -m repro bench [--scale S] [--jobs N] [--repeat R]
-[--out DIR] [--quick] [--section S[,S...]] [--baseline B.json]``
-(``python -m repro.perf.bench`` is a deprecated alias).  ``--section``
+[--out DIR] [--quick] [--section S[,S...]] [--baseline B.json]``.  ``--section``
 restricts the run to a comma-separated subset of ``enumeration``,
 ``relcheck``, ``solver``, ``sweep``, ``simgen``, ``cache``, ``tracing``,
 ``serve``, ``batch``.  The ``solver`` section races SAT-backed checking
@@ -45,7 +42,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import sys
 import time
 from datetime import date
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -457,73 +453,12 @@ def bench_tracing(
     }
 
 
-def _bench_closure_kernel(n: int = 1536, repeat: int = 3) -> Dict:
-    """Time general transitive closure at a universe size litmus tests
-    never reach — the regime the tiled numpy backend exists for.
-
-    A deterministic sparse random digraph over *n* elements (two edges
-    per node in expectation — past the percolation threshold, so a giant
-    strongly-connected component forms and the bit-Warshall blocks all
-    do work) is closed under both indexed backends; the closures must
-    agree row-for-row.  Target: numpy >=3x over per-row Python-int
-    dense.
-    """
-    import random
-
-    from repro.core.relations import EventIndex, numpy_available
-
-    rng = random.Random(7)
-    pairs = [
-        (rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)
-    ]
-    index = EventIndex(range(n))
-    dense = index.relation(pairs)
-
-    best: Dict[str, float] = {}
-    closures: Dict[str, Tuple[int, ...]] = {}
-    sides = [("dense", dense)]
-    if numpy_available():
-        sides.append(("numpy", index.numpy_relation(pairs)))
-    for _ in range(max(1, repeat)):
-        for variant, rel in sides:
-            t0 = time.perf_counter()
-            closed = rel.transitive_closure()
-            elapsed = time.perf_counter() - t0
-            if variant not in best or elapsed < best[variant]:
-                best[variant] = elapsed
-            closures[variant] = tuple(closed.rows)
-
-    identical = len(set(closures.values())) == 1
-    if not identical:
-        raise AssertionError(
-            "large-universe closures differ between indexed backends"
-        )
-    record = {
-        "n_elements": n,
-        "edges": len(set(pairs)),
-        "repeat": repeat,
-        "wall_s_dense": best["dense"],
-        "numpy": "numpy" in best,
-        "identical": identical,
-        "target_speedup": 3.0,
-    }
-    if "numpy" in best:
-        record["wall_s_numpy"] = best["numpy"]
-        record["speedup"] = (
-            best["dense"] / best["numpy"]
-            if best["numpy"] > 0
-            else float("inf")
-        )
-    return record
-
-
 def bench_relcheck(
     models: Sequence[str] = ("drf0", "drf1", "drfrlx"),
     repeat: int = 3,
 ) -> Dict:
     """Time race classification over the full corpus: bitset relations +
-    execution-class dedup vs the pair-set per-execution oracle, with the
-    tiled numpy backend as a third side when numpy is importable.
+    execution-class dedup vs the pair-set per-execution oracle.
 
     This isolates the phase the relational kernel optimizes — the
     analysis half of :func:`repro.core.model.check` — against shared
@@ -534,15 +469,10 @@ def bench_relcheck(
 
     Doubles as the backend-equivalence oracle check: verdicts and the
     full ``(execution index, race)`` witness sequences must be identical
-    between every variant, and the early-exit mode must reproduce every
-    verdict.  Target: >=3x overall for dense vs pairs.  On these
-    litmus-sized universes the numpy backend's per-call overhead
-    dominates (which is why ``auto`` keeps dense below
-    ``DENSE_MAX_ELEMENTS``); the ``large_universe`` sub-record times the
-    closure kernel at the scale the tiled backend targets.
+    between both variants, and the early-exit mode must reproduce every
+    verdict.  Target: >=3x overall for dense vs pairs.
     """
     from repro.core.model import _prepare, classify_enumeration
-    from repro.core.relations import numpy_available
 
     tasks = []
     for name, program in _corpus_programs():
@@ -555,8 +485,6 @@ def bench_relcheck(
         ("pairs", {"backend": "pairs", "dedup": False}),
         ("dense", {"backend": "dense", "dedup": True}),
     ]
-    if numpy_available():
-        variants.append(("numpy", {"backend": "numpy", "dedup": True}))
     best: Dict[Tuple[str, str], float] = {}
     outputs: Dict[Tuple[str, str], Tuple] = {}
     stats: Dict[str, Tuple[int, int, int]] = {}
@@ -621,7 +549,7 @@ def bench_relcheck(
         }
     wall_pairs = sum(m["wall_s_pairs"] for m in per_model.values())
     wall_dense = sum(m["wall_s_dense"] for m in per_model.values())
-    record = {
+    return {
         "programs": len({check_id.rsplit(":", 1)[0] for check_id, _ in best}),
         "models": list(models),
         "checks": len(tasks),
@@ -638,15 +566,7 @@ def bench_relcheck(
         "witnesses_identical": witnesses_ok,
         "early_exit_identical": early_ok,
         "per_model": per_model,
-        "large_universe": _bench_closure_kernel(repeat=repeat),
     }
-    if any(name == "numpy" for name, _ in variants):
-        wall_numpy = sum(m["wall_s_numpy"] for m in per_model.values())
-        record["wall_s_numpy"] = wall_numpy
-        record["speedup_numpy"] = (
-            wall_pairs / wall_numpy if wall_numpy > 0 else float("inf")
-        )
-    return record
 
 
 def bench_solver(repeat: int = 3, quick: bool = False) -> Dict:
@@ -1488,32 +1408,16 @@ def summarize(record: Dict) -> str:
         )
     relcheck = record.get("relcheck")
     if relcheck:
-        numpy_note = ""
-        if "wall_s_numpy" in relcheck:
-            numpy_note = (
-                f", {relcheck['wall_s_numpy']*1000:.1f}ms numpy"
-            )
         lines.append(
             f"relcheck: {relcheck['checks']} checks "
             f"({relcheck['executions']} executions -> "
             f"{relcheck['execution_classes']} classes), "
             f"{relcheck['wall_s_pairs']*1000:.1f}ms pairs -> "
-            f"{relcheck['wall_s_dense']*1000:.1f}ms dense+dedup"
-            f"{numpy_note} "
+            f"{relcheck['wall_s_dense']*1000:.1f}ms dense+dedup "
             f"({relcheck['speedup']:.2f}x, "
             f"target >={relcheck['target_speedup']:.1f}x; "
             f"witnesses identical: {relcheck['witnesses_identical']})"
         )
-        big = relcheck.get("large_universe")
-        if big and "speedup" in big:
-            lines.append(
-                f"relcheck/large-universe: closure at n={big['n_elements']}, "
-                f"{big['wall_s_dense']*1000:.1f}ms dense -> "
-                f"{big['wall_s_numpy']*1000:.1f}ms numpy "
-                f"({big['speedup']:.2f}x, "
-                f"target >={big['target_speedup']:.1f}x; "
-                f"identical: {big['identical']})"
-            )
     solver = record.get("solver")
     if solver:
         crossings = ", ".join(
@@ -1628,28 +1532,3 @@ def summarize(record: Dict) -> str:
             f"identical: {batch['identical']})"
         )
     return "\n".join(lines)
-
-
-def main(argv=None) -> int:
-    """Deprecated shim: forwards to ``python -m repro bench``."""
-    import warnings
-
-    warnings.warn(
-        "`python -m repro.perf.bench` is deprecated; "
-        "use `python -m repro bench` (the repro.api façade underneath)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    print(
-        "note: `python -m repro.perf.bench` is deprecated; "
-        "use `python -m repro bench`",
-        file=sys.stderr,
-    )
-    from repro.cli import main as cli_main
-
-    args = list(argv) if argv is not None else sys.argv[1:]
-    return cli_main(["bench"] + args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

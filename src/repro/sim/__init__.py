@@ -11,7 +11,6 @@ Entry points:
 
 from repro.sim.config import DISCRETE, INTEGRATED, SystemConfig, table2_rows
 from repro.sim.consistency import DRF0, DRF1, DRFRLX, ConsistencyModel, table4_rows
-from repro.sim.stats import SimStats
 from repro.sim.system import (
     CONFIG_ABBREV,
     RunResult,
@@ -34,7 +33,6 @@ __all__ = [
     "MemAccess",
     "Phase",
     "RunResult",
-    "SimStats",
     "System",
     "SystemConfig",
     "WaitAll",

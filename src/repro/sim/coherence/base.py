@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim import stats as S
+from repro.obs import metrics as S
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Resource
 from repro.sim.mem.cache import L1Cache, LineState
@@ -20,7 +20,7 @@ from repro.sim.mem.l2 import L2System
 from repro.sim.mem.mshr import MshrFile
 from repro.sim.mem.storebuffer import StoreBuffer
 from repro.sim.noc.mesh import Mesh, xy_geometry
-from repro.sim.stats import SimStats
+from repro.obs.metrics import MetricSet
 
 
 class CoherenceProtocol:
@@ -35,7 +35,7 @@ class CoherenceProtocol:
         config: SystemConfig,
         mesh: Mesh,
         l2: L2System,
-        stats: SimStats,
+        stats: MetricSet,
         peers: Dict[int, "CoherenceProtocol"],
         tracer: Tracer = NULL_TRACER,
     ):

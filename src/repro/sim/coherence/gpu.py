@@ -9,7 +9,7 @@ never be cached, reused, or coalesced by the L1.
 
 from __future__ import annotations
 
-from repro.sim import stats as S
+from repro.obs import metrics as S
 from repro.sim.coherence.base import CoherenceProtocol
 from repro.sim.mem.cache import LineState
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
-from repro.sim import stats as S
+from repro.obs import metrics as S
 from repro.sim.coherence.base import CoherenceProtocol
 from repro.sim.mem.cache import LineState
 

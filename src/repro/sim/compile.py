@@ -24,7 +24,7 @@ module resolves all of that once, ahead of time:
 The compiled engine is a *transliteration* of the interpreter, not a
 re-derivation: it makes the same protocol calls, the same resource
 reservations and the same statistics bumps in the same order, so cycle
-counts, ``SimStats`` and figure CSVs are identical — asserted
+counts, ``MetricSet`` and figure CSVs are identical — asserted
 exhaustively by ``tests/sim/test_compile.py`` over every registered
 workload and all six configurations.  The interpreter remains available
 as ``engine="reference"`` (the oracle) and is always used when a live
@@ -37,7 +37,7 @@ from heapq import heappop, heappush
 from typing import Dict, List, Tuple
 
 from repro.core.labels import AtomicKind
-from repro.sim import stats as S
+from repro.obs import metrics as S
 from repro.sim.config import SystemConfig
 from repro.sim.consistency import ConsistencyModel
 from repro.sim.core.cu import MAX_OPS_PER_WAKE, Warp

@@ -16,13 +16,13 @@ from heapq import heappop, heappush
 from typing import List, Optional
 
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim import stats as S
+from repro.obs import metrics as S
 from repro.sim.coherence.base import CoherenceProtocol
 from repro.sim.config import SystemConfig
 from repro.sim.consistency import ConsistencyModel
 from repro.sim.engine import Resource
 from repro.sim.mem.scratchpad import Scratchpad
-from repro.sim.stats import SimStats
+from repro.obs.metrics import MetricSet
 from repro.sim.trace import Compute, MemAccess, WaitAll, WarpTrace
 
 #: Operations a warp may issue per wake-up before yielding to its peers.
@@ -77,7 +77,7 @@ class ComputeUnit:
         config: SystemConfig,
         protocol: CoherenceProtocol,
         model: ConsistencyModel,
-        stats: SimStats,
+        stats: MetricSet,
         tracer: Tracer = NULL_TRACER,
     ):
         self.node = node

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.sim import stats as S
+from repro.obs import metrics as S
 from repro.sim.system import RunResult, System
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim import stats as S
+from repro.obs import metrics as S
 from repro.sim.coherence import PROTOCOLS
 from repro.sim.config import INTEGRATED, SystemConfig
 from repro.sim.consistency import MODELS, ConsistencyModel
@@ -15,7 +15,7 @@ from repro.sim.core.cu import ComputeUnit
 from repro.sim.engine import EventLoop
 from repro.sim.mem.l2 import L2System
 from repro.sim.noc.mesh import Mesh
-from repro.sim.stats import SimStats
+from repro.obs.metrics import MetricSet
 from repro.sim.trace import Kernel, Phase
 
 #: Fixed cost of a global barrier between phases (kernel relaunch /
@@ -49,7 +49,7 @@ class RunResult:
     protocol: str
     model: str
     cycles: float
-    stats: SimStats
+    stats: MetricSet
     phase_cycles: Tuple[float, ...]
 
     @property
@@ -73,7 +73,7 @@ class System:
         self.protocol_name = protocol
         self.model = ConsistencyModel(model)
         self.config = config
-        self.stats = SimStats()
+        self.stats = MetricSet()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.mesh = Mesh(config, self.tracer)
         self.l2 = L2System(config, list(config.l2_nodes()), self.tracer)

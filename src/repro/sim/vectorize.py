@@ -54,7 +54,7 @@ try:  # numpy is optional (``pip install repro[fast]``)
 except ImportError:  # pragma: no cover - exercised via import blocking
     _np = None
 
-from repro.sim import stats as S
+from repro.obs import metrics as S
 from repro.sim.compile import (
     OP_ACQUIRE,
     OP_COMPUTE,

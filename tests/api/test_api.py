@@ -163,34 +163,3 @@ class TestRequestCache:
         store = ResultCache(str(tmp_path))
         handle_request(dict(request), cache=store)
         assert store.hits == 0
-
-
-class TestDeprecatedMains:
-    """Satellite: the old module mains warn and route through the façade."""
-
-    @pytest.mark.parametrize(
-        "module_name, forwarded",
-        [
-            ("repro.perf.audit", ["audit"]),
-            ("repro.perf.bench", ["bench"]),
-            ("repro.eval.reporting", ["figures"]),
-        ],
-    )
-    def test_main_emits_deprecation_warning(
-        self, module_name, forwarded, monkeypatch
-    ):
-        import importlib
-        import warnings
-
-        module = importlib.import_module(module_name)
-        seen = {}
-        monkeypatch.setattr(
-            "repro.cli.main", lambda argv: seen.setdefault("argv", argv) and 0 or 0
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            module.main([])
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ), f"{module_name}.main did not emit DeprecationWarning"
-        assert seen["argv"][:1] == forwarded

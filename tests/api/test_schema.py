@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import handle_request
 from repro.api.schema import (
     SCHEMA_VERSION,
     SchemaError,
@@ -124,6 +125,44 @@ class TestValidation:
         with pytest.raises(SchemaError) as excinfo:
             validate_request({"schema_version": 1, "kind": "sweep"})
         assert excinfo.value.code == "bad_field"
+
+
+class TestRetiredSpellings:
+    """Retired v1 option values are accepted and normalised at the
+    schema boundary, so they answer with the canonical spelling's bytes."""
+
+    @pytest.mark.parametrize(
+        "field, old, canonical",
+        [("backend", "numpy", "dense"), ("engine", "portfolio", "auto")],
+    )
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            _check_request(id="r"),
+            {"schema_version": 1, "kind": "audit", "id": "r"},
+            {
+                "schema_version": 1, "kind": "batch", "id": "r",
+                "programs": [{"name": "mp_paired"}, {"name": "sb_data"}],
+            },
+        ],
+        ids=["check", "audit", "batch"],
+    )
+    def test_old_spelling_answers_like_canonical(
+        self, request_, field, old, canonical
+    ):
+        def answer(value):
+            request = dict(request_, options={field: value})
+            return encode(handle_request(request, cache=False))
+
+        assert validate_request(dict(request_, options={field: old}))[
+            "options"
+        ][field] == canonical
+        assert answer(old) == answer(canonical)
+
+    def test_error_lists_only_canonical_values(self):
+        with pytest.raises(SchemaError) as excinfo:
+            validate_request(_check_request(options={"backend": "tiles"}))
+        assert "numpy" not in excinfo.value.message
 
 
 class TestCodec:

@@ -110,3 +110,24 @@ def test_batch_state_is_bounded():
 def test_empty_batch():
     clear_batch_state()
     assert list(check_many([], jobs=1)) == []
+
+
+def test_handle_keeps_at_most_one_call_of_entries(tmp_path):
+    import repro.batch as batch_module
+
+    root = str(tmp_path)
+    first, second = generate(53, 6), generate(59, 6)
+    clear_batch_state()
+    cold = [_payload(r) for r in check_many(first, jobs=1, cache=root)]
+    handle = batch_module._STATE.handles[root]
+    stored = handle.stores
+    assert stored > 0
+    assert len(handle._memory) <= stored
+    list(check_many(second, jobs=1, cache=root))
+    assert batch_module._STATE.handles[root] is handle
+    # Call two's entries replace call one's instead of adding to them.
+    assert len(handle._memory) <= handle.stores - stored
+    warm = [_payload(r) for r in check_many(first, jobs=1, cache=root)]
+    assert warm == cold
+    fresh = [_payload(check(p, m)) for p in first for m in MODELS]
+    assert cold == fresh

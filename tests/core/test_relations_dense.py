@@ -1,44 +1,28 @@
-"""Property-based equivalence of the indexed backends against the
+"""Property-based equivalence of the dense bitset backend against the
 pair-set oracle.
 
 Every operator of the relational algebra is driven through identical
-random operand sequences in every backend — the per-row Python-int dense
-bitsets, the tiled-uint64 numpy bit-matrices (when numpy is importable),
-and the frozenset oracle; the results must agree pair-for-pair.  Element
-universes go up to 64 events in the operator sweep (past the
-single-machine-word boundary, so multi-word Python-int rows are covered)
-and past 64 in the tile-boundary sweep, so multi-tile numpy rows with a
-ragged tail word are covered too.
+random operand sequences in the per-row Python-int dense bitsets and
+the frozenset oracle; the results must agree pair-for-pair.  Element
+universes go up to 64 events in the operator sweep and past 64 in the
+word-boundary sweep, so multi-word Python-int rows are covered.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.relations import (
-    DenseRelation,
-    EventIndex,
-    NumpyRelation,
-    Relation,
-    numpy_available,
-)
+from repro.core.relations import DenseRelation, EventIndex, Relation
 
 #: A universe of up to 64 interned elements; pairs index into it.
 universe_st = st.integers(min_value=2, max_value=64)
 
-#: Universes crossing the 64-bit tile boundary (two or three tile words,
-#: with a partially-filled tail word in almost every draw).
+#: Universes crossing the 64-bit word boundary (two or three words,
+#: with a partially-filled last word in almost every draw).
 wide_universe_st = st.integers(min_value=65, max_value=160)
 
-#: The indexed backends under test; the numpy side only when importable.
-INDEXED = ("dense",) + (("numpy",) if numpy_available() else ())
-
-BUILDERS = {
-    "dense": lambda index, pairs: index.relation(pairs),
-    "numpy": lambda index, pairs: index.numpy_relation(pairs),
-}
-
-TYPES = {"dense": DenseRelation, "numpy": NumpyRelation}
+#: The indexed backends under test.
+INDEXED = ("dense",)
 
 
 @st.composite
@@ -55,11 +39,11 @@ def indexed_pairs(draw, n_relations=1, universe=universe_st):
 def both(n, pairs, backend):
     """The same relation in *backend* and the pair-set oracle."""
     index = EventIndex(range(n))
-    return BUILDERS[backend](index, pairs), Relation(pairs)
+    return index.relation(pairs), Relation(pairs)
 
 
 def agree(fast, oracle, backend):
-    assert isinstance(fast, TYPES[backend])
+    assert isinstance(fast, DenseRelation)
     assert fast.pairs == oracle.pairs
     assert fast == oracle  # cross-backend __eq__
     assert len(fast) == len(oracle)
@@ -171,7 +155,7 @@ class TestOperatorEquivalence:
 
 @pytest.mark.parametrize("backend", INDEXED)
 class TestTileBoundary:
-    """Universes past 64 elements: multi-tile rows with a ragged tail."""
+    """Universes past 64 elements: multi-word rows with a ragged tail."""
 
     @given(case=indexed_pairs(2, universe=wide_universe_st))
     @settings(max_examples=30, deadline=None)
@@ -235,21 +219,6 @@ class TestOperatorSequences:
         dp, op_ = both(n, p, backend)
         dq, oq = both(n, q, backend)
         assert (dp | dq).is_acyclic() == (op_ | oq).is_acyclic()
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    @given(case=indexed_pairs(2))
-    @settings(max_examples=40, deadline=None)
-    def test_dense_and_numpy_mix(self, case):
-        """Dense and numpy relations over the same index interoperate
-        (the set algebra coerces through the shared rows view)."""
-        n, (p, q) = case
-        index = EventIndex(range(n))
-        dense = index.relation(p)
-        tiled = index.numpy_relation(q)
-        oracle = Relation(p) | Relation(q)
-        assert (dense | tiled).pairs == oracle.pairs
-        assert (tiled | dense).pairs == oracle.pairs
-        assert (dense & tiled).pairs == (Relation(p) & Relation(q)).pairs
 
 
 class TestEventIndex:

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.energy.model import COMPONENTS, DEFAULT_ENERGY_MODEL, EnergyModel, normalized_breakdown
-from repro.sim import stats as S
-from repro.sim.stats import SimStats
+from repro.obs import metrics as S
+from repro.obs.metrics import MetricSet
 
 
 def stats_with(**counters):
-    s = SimStats()
+    s = MetricSet()
     for k, v in counters.items():
         s.bump(k, v)
     return s
@@ -18,7 +18,7 @@ def stats_with(**counters):
 
 class TestBreakdown:
     def test_components_present(self):
-        b = DEFAULT_ENERGY_MODEL.breakdown(SimStats())
+        b = DEFAULT_ENERGY_MODEL.breakdown(MetricSet())
         assert set(b) == set(COMPONENTS)
         assert all(v == 0.0 for v in b.values())
 
@@ -56,7 +56,7 @@ class TestNormalization:
 
     def test_zero_baseline_rejected(self):
         with pytest.raises(ValueError):
-            normalized_breakdown(SimStats(), baseline_total=0.0)
+            normalized_breakdown(MetricSet(), baseline_total=0.0)
 
 
 @given(
@@ -69,7 +69,7 @@ class TestNormalization:
 )
 @settings(max_examples=50, deadline=None)
 def test_energy_nonnegative_and_monotone(counters):
-    s = SimStats()
+    s = MetricSet()
     for k, v in counters.items():
         s.bump(k, v)
     m = DEFAULT_ENERGY_MODEL

@@ -11,7 +11,6 @@ from repro.eval.harness import (
     bench_names,
     micro_names,
     run_sweep,
-    run_sweep_parallel,
 )
 from repro.perf.pool import JOBS_ENV, parallel_map, resolve_jobs
 from repro.workloads.base import (
@@ -56,11 +55,6 @@ class TestParallelEqualsSerial:
         assert set(one.observations) == set(serial.observations)
         for key, obs in serial.observations.items():
             assert obs.cycles == one.observations[key].cycles
-
-    def test_run_sweep_parallel_deprecated_alias(self, serial):
-        with pytest.deprecated_call():
-            aliased = run_sweep_parallel(NAMES, scale=SCALE, jobs=1)
-        assert set(aliased.observations) == set(serial.observations)
 
 
 class TestJobResolution:

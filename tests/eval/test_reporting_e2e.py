@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.eval.reporting import generate_all, headline_averages, main
+from repro.eval.reporting import generate_all, headline_averages
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""The unified ``python -m repro`` front-end and its deprecation shims."""
+"""The unified ``python -m repro`` front-end."""
 
 import json
 
@@ -78,28 +78,10 @@ class TestTraceCommand:
         assert (tmp_path / "litmus_mp_paired.jsonl").exists()
 
 
-class TestDeprecatedShims:
-    def test_audit_shim_forwards(self, capsys):
-        from repro.perf.audit import main as audit_main
-
-        assert audit_main(["1"]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "failure(s)" in captured.out
-
-    def test_reporting_shim_mentions_new_cli(self, capsys, monkeypatch):
-        """The reporting shim prints the deprecation note before doing any
-        work; intercept the delegate so the test stays fast."""
-        import repro.cli as cli
-        from repro.eval import reporting
-
-        seen = {}
-        monkeypatch.setattr(
-            cli, "main", lambda argv: seen.setdefault("argv", argv) and 0 or 0
-        )
-        assert reporting.main(["0.5"]) == 0
-        assert seen["argv"] == ["figures", "--scale", "0.5"]
-        assert "deprecated" in capsys.readouterr().err
+class TestAuditCommand:
+    def test_audit_prints_failure_count(self, capsys):
+        assert main(["audit", "--jobs", "1"]) == 0
+        assert "failure(s)" in capsys.readouterr().out
 
 
 @pytest.mark.obs

@@ -1,11 +1,13 @@
-"""The typed metrics registry and the SimStats compatibility shim."""
+"""The typed metrics registry."""
+
+import pathlib
+import re
 
 import pytest
 
+import repro
 from repro.obs import metrics as M
 from repro.obs.metrics import Metric, MetricSet, all_metrics, describe, lookup, metric
-from repro.sim import stats as S
-from repro.sim.stats import SimStats
 
 
 class TestMetric:
@@ -40,7 +42,7 @@ class TestMetricSetFloatCoercion:
     returned 0.0 for absent names but int for counters bumped with
     integer amounts.  Values are now floats from ``bump`` onward."""
 
-    @pytest.mark.parametrize("cls", [MetricSet, SimStats])
+    @pytest.mark.parametrize("cls", [MetricSet])
     def test_int_bumps_coerce_to_float(self, cls):
         stats = cls()
         stats.bump(M.L1_ACCESS)           # default amount (1)
@@ -49,7 +51,7 @@ class TestMetricSetFloatCoercion:
         assert isinstance(stats.get(M.L1_ACCESS), float)
         assert isinstance(stats.counters[M.L1_ACCESS], float)
 
-    @pytest.mark.parametrize("cls", [MetricSet, SimStats])
+    @pytest.mark.parametrize("cls", [MetricSet])
     def test_absent_and_present_same_type(self, cls):
         stats = cls()
         stats.bump("x", 5)
@@ -82,21 +84,21 @@ class TestMetricSet:
         assert grouped["other"] == {"custom_counter": 1.0}
 
     def test_repr_names_the_concrete_class(self):
-        assert repr(SimStats()).startswith("SimStats(")
+        assert repr(MetricSet()).startswith("MetricSet(")
 
 
-class TestStatsCompatShim:
-    def test_simstats_is_a_metricset(self):
-        assert issubclass(SimStats, MetricSet)
-
-    def test_stats_module_reexports_registry_constants(self):
-        assert S.L1_ACCESS is M.L1_ACCESS
-        assert S.DENOVO_WRITEBACKS is M.DENOVO_WRITEBACKS
-        assert S.NOC_FLIT_HOPS is M.NOC_FLIT_HOPS
-
+class TestSimulatorCounters:
     def test_every_simulator_counter_is_registered(self):
+        """Every ``S.NAME`` counter the simulator and the energy model
+        bump resolves to a registered metric."""
         registered = {str(m) for m in all_metrics()}
-        for name in S.__all__:
-            value = getattr(S, name)
-            if isinstance(value, str):
-                assert str(value) in registered, name
+        root = pathlib.Path(repro.__file__).parent
+        names = set()
+        for package in ("sim", "energy"):
+            for path in (root / package).rglob("*.py"):
+                names.update(re.findall(r"\bS\.([A-Z][A-Z0-9_]+)\b", path.read_text()))
+        assert names
+        for name in sorted(names):
+            value = getattr(M, name)
+            assert isinstance(value, Metric), name
+            assert str(value) in registered, name

@@ -1,6 +1,6 @@
 """Smoke tests for the perf harness: corpus audit and the bench CLI.
 
-The full benchmark is run by hand (``python -m repro.perf.bench``); here
+The full benchmark is run by hand (``python -m repro bench``); here
 we only assert the harness runs end-to-end at tiny scale and emits a
 well-formed ``BENCH_<date>.json``.  Marked ``bench`` so it can be
 selected (or deselected) with ``pytest -m bench``.
@@ -106,17 +106,15 @@ def test_bench_harness_emits_valid_json(tmp_path):
 
 @pytest.mark.bench
 def test_bench_cli_quick(tmp_path, capsys):
-    """The deprecated module entry point still works, printing a
-    deprecation note on stderr and the same summary on stdout."""
-    from repro.perf.bench import main
+    """``python -m repro bench --quick`` prints every section's summary."""
+    from repro.cli import main
 
-    assert main(["--quick", "--out", str(tmp_path), "--jobs", "1"]) == 0
-    captured = capsys.readouterr()
-    out = captured.out
+    argv = ["bench", "--quick", "--out", str(tmp_path), "--jobs", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
     assert "enumeration:" in out and "sweep:" in out and "tracing:" in out
     assert "cache:" in out and "simgen:" in out and "relcheck:" in out
     assert "serve:" in out and "solver:" in out and "batch:" in out
-    assert "deprecated" in captured.err
 
 
 class TestCompareBaseline:

@@ -2,21 +2,21 @@
 
 import pytest
 
-from repro.sim import stats as S
+from repro.obs import metrics as S
 from repro.sim.coherence.denovo import DeNovoCoherence
 from repro.sim.coherence.gpu import GpuCoherence
 from repro.sim.config import INTEGRATED
 from repro.sim.mem.cache import LineState
 from repro.sim.mem.l2 import L2System
 from repro.sim.noc.mesh import Mesh
-from repro.sim.stats import SimStats
+from repro.obs.metrics import MetricSet
 
 
 def make_pair(cls):
     """Two protocol instances (nodes 0 and 1) sharing mesh/L2/stats."""
     mesh = Mesh(INTEGRATED)
     l2 = L2System(INTEGRATED, nodes=list(range(16)))
-    stats = SimStats()
+    stats = MetricSet()
     peers = {}
     a = cls(0, INTEGRATED, mesh, l2, stats, peers)
     b = cls(1, INTEGRATED, mesh, l2, stats, peers)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.api import check_program
 from repro.core.executions import static_step_bound
-from repro.core.model import ENGINES, SMALL_PROGRAM_STEPS, _prepare, check
+from repro.core.model import SMALL_PROGRAM_STEPS, _prepare, check
 from repro.litmus.corpus import CORPUS_DIR
 from repro.litmus.library import get, scaled_chain
 from repro.obs.metrics import RUNTIME
@@ -82,14 +82,9 @@ class TestEngineSelection:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             check(MP, "drf0", engine="z3")
-        assert set(ENGINES) == {"enum", "sat", "auto", "portfolio"}
-
-    def test_portfolio_matches_single_engine_verdicts(self):
-        result = check(MP, "drfrlx", engine="portfolio")
-        assert result.engine in ("enum", "sat")
-        reference = check(MP, "drfrlx", engine="enum")
-        assert (result.legal, result.race_kinds) == \
-            (reference.legal, reference.race_kinds)
+        # The retired name is normalised only at the v1 schema boundary.
+        with pytest.raises(ValueError, match="unknown engine"):
+            check(MP, "drf0", engine="portfolio")
 
     def test_capacity_fallback_reroutes_to_enum(self):
         """ref_counter's deep RMW chains exceed the encoder's capacity
