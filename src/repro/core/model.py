@@ -17,23 +17,27 @@ DRFrlx    all six classes honored                  data, commutative,
                                                    non-ordering, quantum,
                                                    speculative
 ========  =======================================  ==============================
+
+Every checking entry point — :func:`check`, :func:`check_all_models`,
+the corpus audit and :func:`repro.batch.check_many` — runs its
+(program, model) cells through one :class:`Pipeline`: prepare → route →
+enumerate (or solve) → classify.  A pipeline's memos share work between
+the cells of one call and die with it; nothing is kept for the life of
+the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.executions import (
-    SCEnumeration,
-    enumerate_sc_executions,
-    static_step_bound,
-)
-from repro.core.labels import ATOMIC_KINDS, AtomicKind
+from repro.core.events import Event, Execution
+from repro.core.executions import SCEnumeration, enumerate_sc_executions
+from repro.core.labels import AtomicKind, effective_kind
 from repro.core.quantum import quantum_equivalent
 from repro.core.races import Race, RaceAnalysis, race_signature
 from repro.litmus.program import Program
-from repro.obs.metrics import record_resolution
+from repro.obs.metrics import RUNTIME, metric, record_resolution
 
 MODELS = ("drf0", "drf1", "drfrlx")
 
@@ -44,22 +48,42 @@ MODELS = ("drf0", "drf1", "drfrlx")
 #: cost model (:mod:`repro.solver.router`) predicts faster.
 ENGINES = ("enum", "sat", "auto")
 
-#: Fallback gate for ``engine="auto"`` when no router calibration is
-#: loadable (mirrors :data:`repro.solver.router.GATE_STEPS`): stay on
-#: the enumerator when the prepared program's static step bound is at or
-#: below this.  See the crossover measurements in docs/performance.md.
-SMALL_PROGRAM_STEPS = 4
-
-from repro.core.labels import effective_kind
-
-_DRF0_RELABEL = {kind: effective_kind(kind, "drf0") for kind in ATOMIC_KINDS}
-_DRF1_RELABEL = {kind: effective_kind(kind, "drf1") for kind in ATOMIC_KINDS}
+#: model -> label map the model's preparation applies to every label
+#: (data maps to itself under every model).
+_MODEL_RELABEL = {
+    model: {kind: effective_kind(kind, model) for kind in AtomicKind}
+    for model in MODELS
+}
 
 _ILLEGAL_CLASSES = {
     "drf0": ("data",),
     "drf1": ("data",),
     "drfrlx": ("data", "commutative", "non_ordering", "quantum", "speculative"),
 }
+
+#: Each race class can only fire when one of the racing operations
+#: carries its label (see the per-class filters in
+#: :mod:`repro.core.races`): an enumeration whose label alphabet lacks
+#: the label has a provably empty pool for that class.  Dropping such
+#: classes from the classification key is therefore lossless — the
+#: result tuple is identical — and lets e.g. drfrlx share a
+#: classification with drf0/drf1 on data/paired-only programs.  The
+#: alphabet that matters is the *instruction* kinds: race candidates are
+#: lifted from ``program_events`` only, so the always-DATA init writes
+#: never reach a pool and an all-atomic program provably has no data
+#: races.
+_CLASS_REQUIRED_LABEL = {
+    "data": AtomicKind.DATA,
+    "commutative": AtomicKind.COMMUTATIVE,
+    "non_ordering": AtomicKind.NON_ORDERING,
+    "quantum": AtomicKind.QUANTUM,
+    "speculative": AtomicKind.SPECULATIVE,
+}
+
+ENUM_SHARED = metric(
+    "batch_enum_shared", "batch", unit="checks",
+    doc="checks served from an enumeration made earlier in the same call",
+)
 
 
 @dataclass(frozen=True)
@@ -118,49 +142,19 @@ class CheckResult:
         )
 
 
-def _program_key(program: Program) -> Optional[Tuple]:
-    """Structural identity of a program, or ``None`` when unhashable
-    (custom AST nodes); used to memoize the per-model preparation."""
-    try:
-        key = (program.name, program.threads, tuple(sorted(program.init.items())))
-        hash(key)
-    except TypeError:
-        return None
-    return key
-
-
-#: (program key, model) -> prepared program.  DRFrlx preparation runs the
-#: quantum transformation; without this memo every ``check`` call on the
-#: same litmus test rebuilds the quantum-equivalent program from scratch.
-_PREPARED_MEMO: Dict[Tuple, Program] = {}
-_PREPARED_MEMO_MAX = 512
-
-
-def _prepare_uncached(program: Program, model: str) -> Program:
-    if model == "drf0":
-        return program.relabel(_DRF0_RELABEL)
-    if model == "drf1":
-        return program.relabel(_DRF1_RELABEL)
-    if model == "drfrlx":
-        # DRFrlx has no scopes: a locally scoped paired atomic is
-        # checked as a (global) paired atomic.
-        program = program.relabel({AtomicKind.PAIRED_LOCAL: AtomicKind.PAIRED})
-        return quantum_equivalent(program)
-    raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-
-
 def _prepare(program: Program, model: str) -> Program:
-    key = _program_key(program)
-    if key is None:
-        return _prepare_uncached(program, model)
-    memo_key = (key, model)
-    prepared = _PREPARED_MEMO.get(memo_key)
-    if prepared is None:
-        prepared = _prepare_uncached(program, model)
-        if len(_PREPARED_MEMO) >= _PREPARED_MEMO_MAX:
-            _PREPARED_MEMO.clear()
-        _PREPARED_MEMO[memo_key] = prepared
-    return prepared
+    """*program* as *model* sees it: labels mapped to the ones the model
+    honors, and for DRFrlx the quantum-equivalent program."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    prepared = program.relabel(_MODEL_RELABEL[model])
+    return quantum_equivalent(prepared) if model == "drfrlx" else prepared
+
+
+def _structure_key(program: Program) -> Tuple:
+    """Structural identity of a program, name excluded — preparation,
+    enumeration, and classification are all invariant under renaming."""
+    return (repr(program.threads), tuple(sorted(program.init.items())))
 
 
 class ClassifiedRaces(tuple):
@@ -190,9 +184,9 @@ def classify_enumeration(
 
     Returns ``(witnesses, execution_classes, analyses_run)`` (a
     :class:`ClassifiedRaces`, which also carries the uncapped
-    ``race_kinds`` union).  This is the analysis half of :func:`check`,
-    split out so the bench harness can time it against a shared
-    enumeration.
+    ``race_kinds`` union).  This is the unshared classifier: the
+    ``naive=True`` oracle's last stage, and the reference the
+    :class:`Pipeline`'s call-wide classifier must match.
 
     ``dedup=True`` projects each execution to its race-relevant
     signature (:func:`repro.core.races.race_signature`) and analyzes one
@@ -248,90 +242,91 @@ def classify_enumeration(
     )
 
 
-def check(
-    program: Program,
-    model: str,
-    max_executions: Optional[int] = None,
-    max_witnesses: int = 32,
-    naive: bool = False,
-    cache=None,
-    backend: Optional[str] = None,
-    dedup: bool = True,
-    exhaustive: bool = True,
-    tracer=None,
-    engine: str = "enum",
-) -> CheckResult:
-    """Check *program* against one of the three models.
-
-    Enumerates every SC execution of the (relabeled / quantum-transformed)
-    program and classifies every race.  ``max_witnesses`` caps how many
-    race witnesses are retained; legality is still decided over all
-    executions explored.  ``naive=True`` uses the unreduced enumeration
-    engine (the oracle for equivalence tests).  ``cache`` (a
-    :data:`repro.perf.cache.CacheSpec`) memoizes the enumeration on
-    disk, keyed by the prepared program and the enumerator sources.
-
-    ``backend`` picks the relation representation (``"dense"`` bitsets,
-    ``"pairs"`` frozensets, ``None``/``"auto"`` chooses); ``dedup``
-    analyzes one representative per race-relevant execution class (the
-    default — verdicts and witnesses are identical either way);
-    ``exhaustive=False`` stops at the first illegal race, returning at
-    most one witness (same verdict, less work on illegal programs);
-    ``tracer`` records the enumeration's search events (see
-    :mod:`repro.obs` — the per-request trace capture behind the
-    service's ``options.trace`` flag).
-
-    ``engine`` selects the checking engine (one of :data:`ENGINES`):
-    ``"enum"`` walks every interleaving explicitly, ``"sat"`` enumerates
-    race-relevant execution classes with the CDCL solver of
-    :mod:`repro.solver` (one model per class — verdicts and printed
-    witnesses are identical, but ``executions_explored`` counts classes
-    and ``truncated_paths`` counts locally truncated thread branches),
-    and ``"auto"`` consults the calibrated cost model of
-    :mod:`repro.solver.router` (falling back to the static
-    :data:`SMALL_PROGRAM_STEPS` gate without a calibration).  The
-    solver engine falls back to the enumerator when the program exceeds
-    its grounding capacity (deep loops, huge value domains);
-    ``naive=True`` always uses the enumerator.
-    :attr:`CheckResult.engine` records the resolved choice.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    prepared = _prepare(program, model)
-    engine_used = "enum"
-    enumeration = None
-    use_sat = engine == "sat"
-    if engine == "auto" and not naive:
-        from repro.solver.router import decide
-
-        route = decide(prepared)
-        use_sat = route.engine == "sat"
-        record_resolution("check_engine_route", f"{route.source}:{route.engine}")
-    if use_sat and not naive:
-        from repro.solver import SolverCapacityError, sat_enumeration
-
-        try:
-            enumeration = sat_enumeration(
-                prepared, max_executions=max_executions, cache=cache,
-                tracer=tracer,
-            )
-            engine_used = "sat"
-        except SolverCapacityError:
-            pass  # fall back to the explicit enumerator
-    if enumeration is None:
-        enumeration = enumerate_sc_executions(
-            prepared, max_executions=max_executions, naive=naive, cache=cache,
-            tracer=tracer,
-        )
-    record_resolution("check_engine", engine_used)
-    classified = classify_enumeration(
-        enumeration,
-        model,
-        max_witnesses=max_witnesses,
-        backend=backend,
-        dedup=dedup,
-        exhaustive=exhaustive,
+def _label_signature(program: Program, model: str) -> Tuple:
+    """The model's label map restricted to the kinds *program* uses —
+    two models whose maps agree on this alphabet produce identical
+    prepared programs, enumerations, and (for equal illegal-class sets)
+    classifications."""
+    mapping = _MODEL_RELABEL[model]
+    return tuple(
+        sorted((kind.name, mapping[kind].name) for kind in program.kinds_used())
     )
+
+
+def _relabel_enumeration(base: SCEnumeration, prepared: Program,
+                         model: str) -> SCEnumeration:
+    """The enumeration of *prepared* derived from the label-bearing
+    *base* enumeration of the original program.
+
+    SC exploration never branches on atomic labels — events merely carry
+    them — so the executions of a relabeled program are the executions
+    of the original with each event's label mapped, in the same order
+    and with identical work accounting.  (Event canonical keys include
+    ``(tid, po_index)``, which already uniquely identify an instruction
+    instance, so the label adds no discriminating power to the POR memo
+    or the dedup either.)  Rebuilding events is O(events); all derived
+    relations are eid-based and label-independent, so they copy by
+    reference.
+    """
+    mapping = _MODEL_RELABEL[model]
+    if all(mapping[kind] is kind for kind in base.program.kinds_used()):
+        return base
+    executions = []
+    #: base event -> relabeled event, shared across executions (the
+    #: enumerator shares Event objects along common interleaving
+    #: prefixes; preserving that sharing keeps the per-event key/hash
+    #: and signature memos warm).  Events whose label the model maps to
+    #: itself — every data access, every init write — are reused as-is.
+    relabeled: Dict[int, Event] = {}
+    for ex in base.executions:
+        changed = False
+        events = []
+        for e in ex.events:
+            label = mapping[e.label]
+            if label is e.label:
+                events.append(e)
+                continue
+            changed = True
+            twin = relabeled.get(id(e))
+            if twin is None:
+                twin = Event(e.eid, e.tid, e.kind, e.loc, e.value, label,
+                             e.po_index, e.is_init)
+                relabeled[id(e)] = twin
+            events.append(twin)
+        if not changed:
+            # Identical event sequence -> identical execution: share the
+            # object (and its lazily cached relations) outright.
+            executions.append(ex)
+            continue
+        executions.append(
+            Execution(
+                tuple(events), ex.order, ex._rf_map, ex._rmw_pairs,
+                ex._dep_edges, ex.final_memory, ex.final_registers,
+                ex.rmw_info, backend=getattr(ex, "_backend", None),
+            )
+        )
+    return SCEnumeration(
+        program=prepared,
+        executions=tuple(executions),
+        truncated_paths=base.truncated_paths,
+        interleavings=base.interleavings,
+        stats=base.stats,
+        solver_stats=base.solver_stats,
+    )
+
+
+def _effective_classes(illegal: Tuple[str, ...], alphabet) -> Tuple[str, ...]:
+    return tuple(
+        cls
+        for cls in illegal
+        if cls not in _CLASS_REQUIRED_LABEL
+        or _CLASS_REQUIRED_LABEL[cls] in alphabet
+    )
+
+
+def _result(program: Program, model: str, prepared: Program,
+            enumeration: SCEnumeration, engine_used: str,
+            classified: ClassifiedRaces) -> CheckResult:
     witnesses, n_classes, analyses = classified
     return CheckResult(
         program_name=program.name,
@@ -349,15 +344,336 @@ def check(
     )
 
 
+class Pipeline:
+    """The checking pipeline: prepare → route → enumerate → classify.
+
+    One instance serves one call — :func:`check` (one cell),
+    :func:`check_all_models` and the corpus audit (one program's
+    models), one bin of :func:`repro.batch.check_many` — and its memos
+    share work between that call's cells:
+
+    - **Preparation** is memoized per (structure, model), so structural
+      twins under different names share it.
+    - **Routing** (``engine="auto"``) is decided once per prepared
+      structure.
+    - **Enumeration.**  SC exploration never branches on atomic labels,
+      so each model's enumeration is a relabeled view of one
+      label-bearing *base* enumeration of the original program
+      (:func:`_relabel_enumeration`).  The SAT engine (whose classes
+      depend on labels), DRFrlx's quantum transformation (which changes
+      structure) and traced checks (whose tracer records the prepared
+      program's search) enumerate the prepared program instead,
+      memoized per prepared structure.
+    - **Classification** is memoized per (enumeration, achievable
+      illegal classes), and the per-signature race pools are shared
+      across all the call's enumerations (:meth:`_classify`).
+
+    ``naive=True`` bypasses every memo: the oracle prepares, enumerates
+    with the naive interleaver and runs :func:`classify_enumeration`.
+    Otherwise results are byte-identical to the unshared composition
+    ``classify_enumeration(enumerate_sc_executions(_prepare(p, m)), m)``
+    (or its ``sat_enumeration`` counterpart); only the work is shared,
+    never the verdict logic.  The options are :func:`check`'s.
+    """
+
+    def __init__(
+        self,
+        engine: str = "enum",
+        naive: bool = False,
+        max_executions: Optional[int] = None,
+        max_witnesses: int = 32,
+        backend: Optional[str] = None,
+        dedup: bool = True,
+        exhaustive: bool = True,
+        cache=None,
+        tracer=None,
+    ) -> None:
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+        self.engine = engine
+        self.naive = naive
+        self.max_executions = max_executions
+        self.max_witnesses = max_witnesses
+        self.backend = backend
+        self.dedup = dedup
+        self.exhaustive = exhaustive
+        self.cache = cache
+        self.tracer = tracer
+        #: (structure key, model) -> (prepared program, prepared key)
+        self.prepared: Dict[Tuple, Tuple[Program, Tuple]] = {}
+        #: prepared key -> RouterDecision
+        self.decisions: Dict[Tuple, object] = {}
+        #: structure key -> base enumeration of the original program
+        self.base_enums: Dict[Tuple, SCEnumeration] = {}
+        #: enumeration key -> (enumeration, engine used)
+        self.enums: Dict[Tuple, Tuple[SCEnumeration, str]] = {}
+        #: (enumeration key, illegal classes) -> ClassifiedRaces
+        self.classified: Dict[Tuple, ClassifiedRaces] = {}
+        #: shared event-key interning: signatures are only comparable
+        #: under one intern dict (see :func:`repro.core.races.race_signature`)
+        self.sig_intern: Dict[Tuple, int] = {}
+        #: (signature, class) -> that class's race pool
+        self.race_memo: Dict[Tuple, Tuple] = {}
+        #: (signature, classes) -> the concatenated pools
+        self.race_combined: Dict[Tuple, Tuple] = {}
+
+    def check_models(self, program: Program,
+                     models: Sequence[str]) -> List[CheckResult]:
+        """One :class:`CheckResult` per model, in *models* order."""
+        if self.naive:
+            return [self._oracle(program, model) for model in models]
+        structure = _structure_key(program)
+        return [self._check_cell(program, structure, model) for model in models]
+
+    def _oracle(self, program: Program, model: str) -> CheckResult:
+        prepared = _prepare(program, model)
+        enumeration = enumerate_sc_executions(
+            prepared, max_executions=self.max_executions, naive=True,
+            cache=self.cache, tracer=self.tracer,
+        )
+        record_resolution("check_engine", "enum")
+        classified = classify_enumeration(
+            enumeration, model, max_witnesses=self.max_witnesses,
+            backend=self.backend, dedup=self.dedup, exhaustive=self.exhaustive,
+        )
+        return _result(program, model, prepared, enumeration, "enum", classified)
+
+    def _check_cell(self, program: Program, structure: Tuple,
+                    model: str) -> CheckResult:
+        prepared, prep_key = self._prepare(program, structure, model)
+        use_sat = self._use_sat(prepared, prep_key)
+        if use_sat or self.tracer is not None or (
+            model == "drfrlx" and program.uses_quantum()
+        ):
+            enum_key = ("prepared", prep_key, use_sat)
+            hit = self.enums.get(enum_key)
+            if hit is None:
+                hit = self.enums[enum_key] = self._enumerate(prepared, use_sat)
+            else:
+                RUNTIME.bump(ENUM_SHARED)
+        else:
+            base = self.base_enums.get(structure)
+            if base is None:
+                base = self.base_enums[structure] = enumerate_sc_executions(
+                    program, max_executions=self.max_executions,
+                    cache=self.cache,
+                )
+            else:
+                RUNTIME.bump(ENUM_SHARED)
+            enum_key = ("relabeled", structure, _label_signature(program, model))
+            hit = self.enums.get(enum_key)
+            if hit is None:
+                hit = self.enums[enum_key] = (
+                    _relabel_enumeration(base, prepared, model), "enum"
+                )
+        enumeration, engine_used = hit
+        record_resolution("check_engine", engine_used)
+        classes = _effective_classes(_ILLEGAL_CLASSES[model], prepared.kinds_used())
+        classify_key = (enum_key, classes)
+        classified = self.classified.get(classify_key)
+        if classified is None:
+            classified = self.classified[classify_key] = self._classify(
+                enumeration, model, classes
+            )
+        return _result(program, model, prepared, enumeration, engine_used,
+                       classified)
+
+    def _prepare(self, program: Program, structure: Tuple,
+                 model: str) -> Tuple[Program, Tuple]:
+        """``(prepared program, its structure key)``, shared by twins."""
+        hit = self.prepared.get((structure, model))
+        if hit is None:
+            prepared = _prepare(program, model)
+            hit = self.prepared[(structure, model)] = (
+                prepared, _structure_key(prepared)
+            )
+        prepared, prep_key = hit
+        if prepared.name != program.name:
+            # A twin's preparation: reuse the relabeled thread bodies (the
+            # expensive part) under this program's own name, so
+            # ``checked_program`` carries the checked program's name.
+            prepared = Program(program.name, prepared.threads, prepared.init)
+        return prepared, prep_key
+
+    def _use_sat(self, prepared: Program, prep_key: Tuple) -> bool:
+        if self.engine != "auto":
+            return self.engine == "sat"
+        decision = self.decisions.get(prep_key)
+        if decision is None:
+            from repro.solver.router import decide
+
+            decision = self.decisions[prep_key] = decide(prepared)
+        record_resolution("check_engine_route",
+                          f"{decision.source}:{decision.engine}")
+        return decision.engine == "sat"
+
+    def _enumerate(self, prepared: Program,
+                   use_sat: bool) -> Tuple[SCEnumeration, str]:
+        """Enumerate the prepared program itself; the solver engine
+        falls back to the enumerator past its grounding capacity."""
+        if use_sat:
+            from repro.solver import SolverCapacityError, sat_enumeration
+
+            try:
+                return sat_enumeration(
+                    prepared, max_executions=self.max_executions,
+                    cache=self.cache, tracer=self.tracer,
+                ), "sat"
+            except SolverCapacityError:
+                pass  # fall back to the explicit enumerator
+        return enumerate_sc_executions(
+            prepared, max_executions=self.max_executions, cache=self.cache,
+            tracer=self.tracer,
+        ), "enum"
+
+    def _classify(self, enumeration: SCEnumeration, model: str,
+                  classes: Tuple[str, ...]) -> ClassifiedRaces:
+        """Race-classify with the per-signature work shared call-wide.
+
+        :func:`classify_enumeration` already deduplicates executions by
+        :func:`repro.core.races.race_signature`, whose contract is that
+        signature-equal executions have *identical, printed identically*
+        race analyses.  The same contract holds across enumerations
+        under one shared intern dict, so the pipeline keeps one
+        ``(signature, classes) -> races`` memo: tiny random programs
+        collide on signatures constantly (the same handful of message-
+        passing / store-buffering shapes under different names and
+        thread orders), and each shape's analysis runs once per call
+        instead of once per program.
+
+        The accounting matches ``classify_enumeration`` with
+        ``dedup=True``: ``n_classes`` and ``analyses_run`` both equal the
+        number of distinct signatures *within this enumeration*,
+        however many were served from the memo.  Non-default modes
+        (``dedup=False``, ``exhaustive=False``) change that accounting,
+        so they use the stock classifier.
+        """
+        if not self.dedup or not self.exhaustive:
+            return classify_enumeration(
+                enumeration, model, max_witnesses=self.max_witnesses,
+                backend=self.backend, dedup=self.dedup,
+                exhaustive=self.exhaustive,
+            )
+        backend = self.backend
+        max_witnesses = self.max_witnesses
+        intern = self.sig_intern
+        memo = self.race_memo
+        combined = self.race_combined
+        witnesses: List[RaceWitness] = []
+        class_ids: Dict[Tuple, int] = {}
+        kinds_seen: set = set()
+        for idx, execution in enumerate(enumeration.executions):
+            # Execution objects are shared wherever relabeling left them
+            # untouched (base enum vs. per-model views), so memoize the
+            # signature on the execution, tagged with the intern dict the
+            # same way the per-event memo inside race_signature is.
+            d = execution.__dict__
+            cached_sig = d.get("_batch_sig")
+            if cached_sig is None or cached_sig[0] is not intern:
+                sig = race_signature(execution, intern)
+                d["_batch_sig"] = (intern, sig)
+            else:
+                sig = cached_sig[1]
+            class_ids.setdefault(sig, len(class_ids))
+            # Repeated signatures are the common case (that is what the
+            # checker's dedup exploits), so the per-execution hot path is
+            # a single lookup of the concatenated result.  On miss,
+            # ``illegal_races(classes)`` is reproduced byte-for-byte from
+            # its definition — the per-class pools concatenated in class
+            # order — with each pool memoized per (sig, class) so models
+            # with overlapping class sets share them: drfrlx reuses the
+            # "data" pool drf0/drf1 already computed.
+            races = combined.get((sig, classes))
+            if races is None:
+                races_list: List = []
+                analysis = None
+                for cls in classes:
+                    pool = memo.get((sig, cls))
+                    if pool is None:
+                        if analysis is None:
+                            execution.set_backend(backend)
+                            analysis = RaceAnalysis(execution)
+                        pool = memo[(sig, cls)] = analysis.illegal_races((cls,))
+                    races_list.extend(pool)
+                races = combined[(sig, classes)] = tuple(races_list)
+            if races:
+                kinds_seen.update(race.kind for race in races)
+                for race in races:
+                    if len(witnesses) < max_witnesses:
+                        witnesses.append(RaceWitness(idx, race))
+                    else:
+                        break
+        n_classes = len(class_ids)
+        return ClassifiedRaces(
+            tuple(witnesses), n_classes, n_classes, tuple(sorted(kinds_seen))
+        )
+
+
+def check(
+    program: Program,
+    model: str,
+    max_executions: Optional[int] = None,
+    max_witnesses: int = 32,
+    naive: bool = False,
+    cache=None,
+    backend: Optional[str] = None,
+    dedup: bool = True,
+    exhaustive: bool = True,
+    tracer=None,
+    engine: str = "enum",
+) -> CheckResult:
+    """Check *program* against one of the three models.
+
+    Enumerates every SC execution of the (relabeled / quantum-transformed)
+    program and classifies every race: the one-cell case of the
+    :class:`Pipeline` that :func:`repro.batch.check_many` runs per bin.
+    ``max_witnesses`` caps how many race witnesses are retained;
+    legality is still decided over all executions explored.
+    ``naive=True`` runs the oracle: the unreduced enumeration engine and
+    the unshared classifier.  ``cache`` (a
+    :data:`repro.perf.cache.CacheSpec`) memoizes the enumeration on
+    disk, keyed by the enumerated program and the enumerator sources.
+
+    ``backend`` picks the relation representation (``"dense"`` bitsets,
+    ``"pairs"`` frozensets, ``None``/``"auto"`` chooses); ``dedup``
+    analyzes one representative per race-relevant execution class (the
+    default — verdicts and witnesses are identical either way);
+    ``exhaustive=False`` stops at the first illegal race, returning at
+    most one witness (same verdict, less work on illegal programs);
+    ``tracer`` records the prepared program's search events (see
+    :mod:`repro.obs` — the per-request trace capture behind the
+    service's ``options.trace`` flag).
+
+    ``engine`` selects the checking engine (one of :data:`ENGINES`):
+    ``"enum"`` walks every interleaving explicitly, ``"sat"`` enumerates
+    race-relevant execution classes with the CDCL solver of
+    :mod:`repro.solver` (one model per class — verdicts and printed
+    witnesses are identical, but ``executions_explored`` counts classes
+    and ``truncated_paths`` counts locally truncated thread branches),
+    and ``"auto"`` consults the calibrated cost model of
+    :mod:`repro.solver.router` (falling back to the static
+    :data:`repro.solver.router.GATE_STEPS` gate without a calibration).
+    The solver engine falls back to the enumerator when the program
+    exceeds its grounding capacity (deep loops, huge value domains);
+    ``naive=True`` always uses the enumerator.
+    :attr:`CheckResult.engine` records the resolved choice.
+    """
+    pipeline = Pipeline(
+        engine=engine, naive=naive, max_executions=max_executions,
+        max_witnesses=max_witnesses, backend=backend, dedup=dedup,
+        exhaustive=exhaustive, cache=cache, tracer=tracer,
+    )
+    return pipeline.check_models(program, (model,))[0]
+
+
 def check_all_models(
     program: Program,
     max_executions: Optional[int] = None,
     backend: Optional[str] = None,
     engine: str = "enum",
 ) -> Dict[str, CheckResult]:
-    """Run all three checkers; the per-model verdict table of Section 3.8."""
-    return {
-        model: check(program, model, max_executions, backend=backend,
-                     engine=engine)
-        for model in MODELS
-    }
+    """Run all three checkers; the per-model verdict table of Section 3.8.
+    One pipeline serves the three, so they share one enumeration."""
+    pipeline = Pipeline(engine=engine, max_executions=max_executions,
+                        backend=backend)
+    return dict(zip(MODELS, pipeline.check_models(program, MODELS)))

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.core.model import check
+from repro.core.model import Pipeline
 from repro.litmus.corpus import CORPUS_DIR, _parse_expectations
 from repro.litmus.dsl import parse
 from repro.perf.cache import CacheSpec, resolve_cache
@@ -53,7 +53,8 @@ def _audit_file(
     open their own :class:`~repro.perf.cache.ResultCache` on it so the
     per-program enumerations are memoized across runs.  The remaining
     elements carry the relation ``backend``, ``dedup`` and checking
-    ``engine`` flags through to :func:`repro.core.model.check`.
+    ``engine`` flags.  One :class:`repro.core.model.Pipeline` checks
+    every declared model, so the models share one enumeration.
     """
     path, cache_root, backend, dedup, engine = task
     cache = resolve_cache(cache_root) if cache_root is not None else None
@@ -63,9 +64,10 @@ def _audit_file(
     verdicts: Dict[str, Tuple[bool, bool, Tuple[str, ...]]] = {}
     engines: Dict[str, str] = {}
     solver_stats: Dict[str, Dict[str, int]] = {}
-    for model, (legal, _kinds) in sorted(_parse_expectations(text).items()):
-        result = check(program, model, cache=cache, backend=backend,
-                       dedup=dedup, engine=engine)
+    expected = sorted(_parse_expectations(text).items())
+    pipeline = Pipeline(cache=cache, backend=backend, dedup=dedup, engine=engine)
+    results = pipeline.check_models(program, [model for model, _ in expected])
+    for (model, (legal, _kinds)), result in zip(expected, results):
         verdicts[model] = (legal, result.legal, result.race_kinds)
         engines[model] = result.engine
         stats = getattr(result, "solver_stats", None)

@@ -1114,10 +1114,12 @@ def bench_batch(
 
     Checks *count* fuzz-generated programs (seed *seed*) against all
     three models two ways: a naive ``model.check`` loop (one fresh call
-    per (program, model) cell) and :func:`repro.batch.check_many` with
-    ``jobs=1``, so the measured gap is amortization alone — shared
-    enumerations relabeled per model, shared race classification, memoized
-    engine routing — not parallelism.
+    per (program, model) cell) and one :func:`repro.batch.check_many`
+    call per *chunk*-program slice with ``jobs=1``, so the measured gap
+    is amortization alone — shared enumerations relabeled per model,
+    shared race classification, memoized engine routing — not
+    parallelism.  Both arms run the same pipeline; ``check`` is its
+    one-cell case, and every memo lives for one call.
 
     The 1-CPU bench host's clock drifts tens of percent between
     measurement windows, so the arms are interleaved ABBA over *chunk*-
@@ -1134,7 +1136,7 @@ def bench_batch(
     on one CPU.
     """
     from repro.api.core import _check_payload
-    from repro.batch import check_many, clear_batch_state
+    from repro.batch import check_many
     from repro.core.model import MODELS, check
     from repro.litmus.fuzz import generate
 
@@ -1163,14 +1165,6 @@ def bench_batch(
     cpu_naive = cpu_batched = float("inf")
     wall_naive = wall_batched = float("inf")
     for _ in range(max(1, repeat)):
-        # Fresh batch state per repetition: within one repetition the
-        # chunks share state, exactly like one ``check_many`` call over
-        # all *count* programs (the serial path keeps one module-global
-        # memo for the whole call); across repetitions each batch starts
-        # cold.  The naive arm's own global memos (the prepared-program
-        # memo in ``repro.core.model``) are never cleared, so if anything
-        # the handicap favors the naive loop.
-        clear_batch_state()
         t_naive = t_batched = 0.0
         w_naive = w_batched = 0.0
         naive: List = []

@@ -255,8 +255,8 @@ class BatchHandle(ResultCache):
     open/encode/replace per entry.  A ``BatchHandle`` keeps every value
     it sees in process memory (raw objects, no pickling), serves repeat
     reads from there, and queues writes until :meth:`flush` — called
-    once per bin — pushes them to the backing store in one pass;
-    :meth:`release` then lets the flushed values go.
+    once per bin — pushes them to the backing store in one pass.  A
+    handle lives as long as its bin.
 
     ``BatchHandle`` subclasses :class:`ResultCache` so the existing
     ``cache=`` plumbing (:func:`resolve_cache` passes instances through
@@ -302,20 +302,9 @@ class BatchHandle(ResultCache):
                 self.base.put(key, value, codec)
             except Exception:
                 # A full disk or unwritable store must not fail the batch;
-                # the values are still served from memory until release.
+                # the values are still served from memory.
                 pass
         return len(pending)
-
-    def release(self) -> None:
-        """Drop the in-memory copies of entries the backing store holds.
-
-        Called when a batch call ends, so a handle that lives as long as
-        its pool worker keeps at most one call's values.  Queued writes
-        stay; without a backing store the memory is the only copy and is
-        kept.
-        """
-        if self.base is not None:
-            self._memory = dict(self._pending)
 
     def __repr__(self) -> str:
         return (

@@ -1,18 +1,40 @@
-"""``repro.batch.check_many``: byte-identical to the per-program checker.
+"""The checking pipeline: ``check`` and ``check_many`` against the
+unshared composition of the stages.
 
 The pipeline's whole contract is that amortization (shared enumerations
-relabeled per model, batch-wide classification memo, memoized engine
+relabeled per model, call-wide classification memo, memoized engine
 routing) is invisible in the results: every payload field a response
-carries must match a fresh ``model.check`` call exactly.
+carries must match what ``classify_enumeration(enumerate_sc_executions(
+_prepare(p, m)), m)`` (or its ``sat_enumeration`` counterpart) gives,
+with no memo anywhere.
 """
 
+import gc
 import json
+import os
+import weakref
 
+import pytest
+
+import repro.core.model as model_module
 from repro.api.core import _check_payload
-from repro.batch import check_many, clear_batch_state
-from repro.core.model import MODELS, check
+from repro.batch import check_many
+from repro.core.executions import enumerate_sc_executions
+from repro.core.model import (
+    MODELS,
+    CheckResult,
+    _prepare,
+    check,
+    classify_enumeration,
+)
+from repro.litmus.corpus import CORPUS_DIR
+from repro.litmus.dsl import parse
 from repro.litmus.fuzz import generate
 from repro.litmus.library import get as get_litmus
+from repro.obs.export import to_jsonl
+from repro.obs.tracer import Tracer
+from repro.solver import SolverCapacityError, sat_enumeration
+from repro.solver.router import decide
 
 LIBRARY_NAMES = (
     "mp_paired", "mp_data", "sb_data", "sb_paired", "lb_non_ordering",
@@ -30,8 +52,44 @@ def _payload(result):
     return json.dumps(_check_payload(result), sort_keys=True, default=repr)
 
 
+def _reference(program, model, engine="enum", max_executions=None,
+               max_witnesses=32, backend=None, dedup=True, exhaustive=True):
+    """One cell through the stages composed by hand, nothing shared."""
+    prepared = _prepare(program, model)
+    if engine == "auto":
+        engine = decide(prepared).engine
+    enumeration, engine_used = None, "enum"
+    if engine == "sat":
+        try:
+            enumeration = sat_enumeration(prepared, max_executions=max_executions)
+            engine_used = "sat"
+        except SolverCapacityError:
+            pass
+    if enumeration is None:
+        enumeration = enumerate_sc_executions(prepared,
+                                              max_executions=max_executions)
+    classified = classify_enumeration(
+        enumeration, model, max_witnesses=max_witnesses, backend=backend,
+        dedup=dedup, exhaustive=exhaustive,
+    )
+    witnesses, n_classes, analyses = classified
+    return CheckResult(
+        program_name=program.name,
+        model=model,
+        legal=not witnesses,
+        witnesses=witnesses,
+        executions_explored=len(enumeration.executions),
+        truncated_paths=enumeration.truncated_paths,
+        checked_program=prepared,
+        execution_classes=n_classes,
+        analyses_run=analyses,
+        engine=engine_used,
+        found_race_kinds=classified.race_kinds,
+        solver_stats=enumeration.solver_stats,
+    )
+
+
 def _assert_identical(programs, **kwargs):
-    clear_batch_state()
     batched = list(check_many(programs, jobs=1, **kwargs))
     index = 0
     for program in programs:
@@ -40,8 +98,9 @@ def _assert_identical(programs, **kwargs):
             index += 1
             assert result.program_name == program.name
             assert result.model == model
-            expected = check(program, model, **kwargs)
-            assert _payload(result) == _payload(expected), (
+            expected = _payload(_reference(program, model, **kwargs))
+            assert _payload(result) == expected, (program.name, model, kwargs)
+            assert _payload(check(program, model, **kwargs)) == expected, (
                 program.name, model, kwargs,
             )
     assert index == len(batched)
@@ -57,7 +116,7 @@ def test_identical_with_pairs_backend():
 
 def test_identical_without_dedup():
     # dedup=False changes the per-execution accounting, which routes the
-    # batch through the stock classifier — results must still match.
+    # pipeline through the stock classifier — results must still match.
     _assert_identical(generate(19, 5), dedup=False)
 
 
@@ -79,55 +138,74 @@ def test_identical_auto_engine():
 
 def test_parallel_matches_serial():
     programs = generate(41, 10)
-    clear_batch_state()
     serial = [_payload(r) for r in check_many(programs, jobs=1)]
-    clear_batch_state()
     parallel = [_payload(r) for r in check_many(programs, jobs=2)]
     assert serial == parallel
 
 
 def test_model_subset_and_order():
     programs = generate(43, 4)
-    clear_batch_state()
     results = list(check_many(programs, models=("drfrlx", "drf0"), jobs=1))
     assert [(r.program_name, r.model) for r in results] == [
         (p.name, m) for p in programs for m in ("drfrlx", "drf0")
     ]
     for result in results:
         program = next(p for p in programs if p.name == result.program_name)
-        assert _payload(result) == _payload(check(program, result.model))
-
-
-def test_batch_state_is_bounded():
-    import repro.batch as batch_module
-
-    clear_batch_state()
-    list(check_many(generate(47, 6), jobs=1))
-    assert len(batch_module._STATE.prepared) <= batch_module._MEMO_MAX
-    assert len(batch_module._STATE.race_memo) <= 8 * batch_module._MEMO_MAX
+        assert _payload(result) == _payload(_reference(program, result.model))
 
 
 def test_empty_batch():
-    clear_batch_state()
     assert list(check_many([], jobs=1)) == []
 
 
-def test_handle_keeps_at_most_one_call_of_entries(tmp_path):
-    import repro.batch as batch_module
+def test_enumerations_die_with_the_call(tmp_path, monkeypatch):
+    """No checking memo outlives its call: once ``check_many`` returns
+    and the collector runs, every enumeration it made is gone (the
+    bin's store handle included, which holds raw values)."""
+    made = []
+    real = model_module.enumerate_sc_executions
 
-    root = str(tmp_path)
-    first, second = generate(53, 6), generate(59, 6)
-    clear_batch_state()
-    cold = [_payload(r) for r in check_many(first, jobs=1, cache=root)]
-    handle = batch_module._STATE.handles[root]
-    stored = handle.stores
-    assert stored > 0
-    assert len(handle._memory) <= stored
-    list(check_many(second, jobs=1, cache=root))
-    assert batch_module._STATE.handles[root] is handle
-    # Call two's entries replace call one's instead of adding to them.
-    assert len(handle._memory) <= handle.stores - stored
-    warm = [_payload(r) for r in check_many(first, jobs=1, cache=root)]
-    assert warm == cold
-    fresh = [_payload(check(p, m)) for p in first for m in MODELS]
-    assert cold == fresh
+    def recording(*args, **kwargs):
+        enumeration = real(*args, **kwargs)
+        made.append(weakref.ref(enumeration))
+        return enumeration
+
+    monkeypatch.setattr(model_module, "enumerate_sc_executions", recording)
+    results = list(check_many(generate(53, 6), jobs=1, cache=str(tmp_path)))
+    assert results and made
+    gc.collect()
+    assert all(ref() is None for ref in made)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_traced_check_traces_the_prepared_enumeration(model):
+    """``check(tracer=...)`` hands the tracer to the enumerator it runs:
+    the trace is the prepared program's search, and tracing does not
+    change the payload."""
+    program = get_litmus("mp_paired").program
+    traced = Tracer()
+    result = check(program, model, tracer=traced)
+    direct = Tracer()
+    enumerate_sc_executions(_prepare(program, model), tracer=direct)
+    assert to_jsonl(traced) == to_jsonl(direct)
+    assert to_jsonl(traced)
+    assert _payload(result) == _payload(check(program, model))
+
+
+def _corpus_programs():
+    for filename in sorted(os.listdir(CORPUS_DIR)):
+        if filename.endswith(".litmus"):
+            with open(os.path.join(CORPUS_DIR, filename)) as handle:
+                yield parse(handle.read())
+
+
+@pytest.mark.parametrize("engine", ["enum", "sat", "auto"])
+def test_fast_path_verdicts_match_the_naive_oracle(engine):
+    """Over the corpus, every engine's pipeline reaches the verdict of
+    the ``naive=True`` oracle (no memo, no relabel, naive interleaver)."""
+    for program in _corpus_programs():
+        for model in MODELS:
+            fast = check(program, model, engine=engine)
+            oracle = check(program, model, naive=True)
+            assert (fast.legal, fast.race_kinds) == \
+                (oracle.legal, oracle.race_kinds), (program.name, model)

@@ -13,11 +13,12 @@ import pytest
 
 from repro.api import check_program
 from repro.core.executions import static_step_bound
-from repro.core.model import SMALL_PROGRAM_STEPS, _prepare, check
+from repro.core.model import _prepare, check
 from repro.litmus.corpus import CORPUS_DIR
 from repro.litmus.library import get, scaled_chain
 from repro.obs.metrics import RUNTIME
 from repro.perf.audit import audit_corpus
+from repro.solver.router import GATE_STEPS
 
 MP = get("mp_paired").program
 
@@ -67,10 +68,10 @@ class TestEngineSelection:
         try:
             small, large = scaled_chain(2), scaled_chain(6)
             assert static_step_bound(_prepare(small, "drf0")) \
-                <= SMALL_PROGRAM_STEPS
+                <= GATE_STEPS
             assert check(small, "drf0", engine="auto").engine == "enum"
             assert static_step_bound(_prepare(large, "drf0")) \
-                > SMALL_PROGRAM_STEPS
+                > GATE_STEPS
             assert check(large, "drf0", engine="auto").engine == "sat"
         finally:
             router.clear_calibration_memo()
