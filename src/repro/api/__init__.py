@@ -21,6 +21,7 @@ from repro.api.core import (
     audit_request,
     check_batch,
     check_program,
+    execute_check_shards,
     execute_request,
     execute_shard,
     generate_figures,
@@ -50,6 +51,7 @@ __all__ = [
     "check_program",
     "encode",
     "error_response",
+    "execute_check_shards",
     "execute_request",
     "execute_shard",
     "generate_figures",

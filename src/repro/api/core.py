@@ -10,14 +10,18 @@ the same three layers:
    response envelope;
 2. :func:`execute_request` consults the content-addressed response
    cache (:mod:`repro.perf.cache`) and, on a miss, splits the request
-   into **shards** — independent work units small enough to spread over
-   the warm :mod:`repro.perf.pool` executor (one model per check, one
-   workload per sweep, one corpus file per audit, one
+   into **shards**, the units :func:`merge_shards` combines (one model
+   per check, one workload per sweep, one corpus file per audit, one
    :data:`BATCH_SHARD_PROGRAMS`-program slice per batch);
-3. :func:`execute_shard` runs one shard; it is a module-level function
-   of a JSON-able dict, so it ships to pool workers by reference and
-   produces the same bytes whether it ran inline, in a process pool, or
-   under the asyncio service.
+3. the shards run as tasks: a check request is **one** task,
+   :func:`execute_check_shards`, which checks all its models in one
+   :class:`~repro.core.model.Pipeline` (one parse, one shared
+   enumeration, one race memo); every sweep, audit and batch shard is a
+   task of its own, :func:`execute_shard`, spread over the warm
+   :mod:`repro.perf.pool` executor.  Both are module-level functions of
+   JSON-able dicts, so they ship to pool workers by reference and
+   produce the same bytes whether they ran inline, in a process pool,
+   or under the asyncio service.
 
 The façade functions :func:`check_program`, :func:`run_sweep_request`,
 :func:`audit_request`, and :func:`generate_figures` are thin wrappers
@@ -222,6 +226,62 @@ def _check_payload(result) -> Dict[str, Any]:
     return payload
 
 
+def execute_check_shards(
+    shards: Sequence[Dict[str, Any]],
+) -> List[Dict[str, Any]]:
+    """Run one check request's ``check_model`` shards as one task.
+
+    The shards of a check request name one program and one set of
+    options (see :func:`shard_request`), so the program is parsed once
+    and one :class:`~repro.core.model.Pipeline` checks every model: one
+    base enumeration relabeled per model and one race-signature memo.
+    A traced request runs one pipeline per model instead, each with its
+    own tracer, so each model's trace is that of a one-cell check.
+    Returns one part per shard, in shard order, as :func:`merge_shards`
+    consumes them.  Module-level, so the service ships it to a pool
+    worker by reference.
+    """
+    from repro.core.model import Pipeline
+    from repro.obs.export import to_dicts
+    from repro.obs.tracer import Tracer
+
+    options = shards[0]["options"]
+    program = _resolve_program(shards[0]["program"])
+    models = [shard["model"] for shard in shards]
+
+    def pipeline(tracer=None) -> Pipeline:
+        return Pipeline(
+            engine=options["engine"],
+            max_executions=options["max_executions"],
+            backend=options["backend"],
+            dedup=options["dedup"],
+            exhaustive=options["exhaustive"],
+            cache=shards[0]["cache_root"],
+            tracer=tracer,
+        )
+
+    if options["trace"]:
+        tracers = [Tracer() for _ in models]
+        results = [
+            pipeline(tracer).check_models(program, [model])[0]
+            for model, tracer in zip(models, tracers)
+        ]
+    else:
+        tracers = [None] * len(models)
+        results = pipeline().check_models(program, models)
+    parts = []
+    for result, tracer in zip(results, tracers):
+        part: Dict[str, Any] = {
+            "model": result.model,
+            "program": program.name,
+            "check": _check_payload(result),
+        }
+        if tracer is not None:
+            part["trace"] = to_dicts(tracer)
+        parts.append(part)
+    return parts
+
+
 def execute_shard(shard: Dict[str, Any]) -> Dict[str, Any]:
     """Run one shard; module-level so pools can import it by reference.
 
@@ -232,32 +292,7 @@ def execute_shard(shard: Dict[str, Any]) -> Dict[str, Any]:
     kind = shard["shard"]
     cache = shard.get("cache_root")
     if kind == "check_model":
-        from repro.core.model import check
-        from repro.obs.export import to_dicts
-        from repro.obs.tracer import Tracer
-
-        options = shard["options"]
-        program = _resolve_program(shard["program"])
-        tracer = Tracer() if options["trace"] else None
-        result = check(
-            program,
-            shard["model"],
-            max_executions=options["max_executions"],
-            backend=options["backend"],
-            dedup=options["dedup"],
-            exhaustive=options["exhaustive"],
-            cache=cache,
-            tracer=tracer,
-            engine=options["engine"],
-        )
-        part: Dict[str, Any] = {
-            "model": shard["model"],
-            "program": program.name,
-            "check": _check_payload(result),
-        }
-        if tracer is not None:
-            part["trace"] = to_dicts(tracer)
-        return part
+        return execute_check_shards([shard])[0]
     if kind == "batch_chunk":
         from repro.batch import check_many
 
@@ -478,10 +513,13 @@ def execute_request(
 ) -> Dict[str, Any]:
     """Execute a normalized request: cache lookup, shard, run, merge.
 
-    ``jobs`` fans the shards out over :func:`repro.perf.pool.parallel_map`
-    (``1``, the default, runs them inline; ``None`` auto-resolves a
-    worker count).  The asyncio service uses its own dispatcher over the
-    same shards instead, so both paths produce identical payloads.
+    A check request runs inline as one task
+    (:func:`execute_check_shards`).  ``jobs`` fans the shards of batch,
+    sweep and audit requests out over
+    :func:`repro.perf.pool.parallel_map` (``1``, the default, runs them
+    inline; ``None`` auto-resolves a worker count).  The asyncio service
+    uses its own dispatcher over the same tasks instead, so both paths
+    produce identical payloads.
     """
     store = resolve_cache(cache)
     key = None
@@ -492,7 +530,10 @@ def execute_request(
             return value
     root = store.root if store is not None else None
     shards = shard_request(normalized, cache_root=root)
-    parts = parallel_map(execute_shard, shards, jobs=jobs)
+    if normalized["kind"] == "check":
+        parts = execute_check_shards(shards)
+    else:
+        parts = parallel_map(execute_shard, shards, jobs=jobs)
     result = merge_shards(normalized, parts)
     if key is not None:
         store.put(key, result)

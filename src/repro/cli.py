@@ -39,13 +39,15 @@ from typing import List, Optional, Sequence
 TRACE_ENV = "REPRO_TRACE"
 
 
-def _shared_flags() -> argparse.ArgumentParser:
-    """The flags every subcommand inherits, declared exactly once."""
+def _shared_flags(
+    jobs_help: str = "worker processes for parallel stages "
+                     "(default: REPRO_JOBS, then the CPU count)",
+) -> argparse.ArgumentParser:
+    """The flags every subcommand inherits, declared exactly once;
+    *jobs_help* lets a subcommand say what ``--jobs`` fans out for it."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for parallel stages "
-             "(default: REPRO_JOBS, then the CPU count)",
+        "--jobs", type=int, default=None, metavar="N", help=jobs_help,
     )
     shared.add_argument(
         "--out", default=None, metavar="DIR",
@@ -458,7 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
-        "litmus", parents=[shared],
+        "litmus",
+        parents=[_shared_flags(
+            jobs_help="no effect here: --jobs fans out batch, sweep and "
+                      "audit shards, while a litmus check is one task that "
+                      "checks all its models in one pipeline",
+        )],
         help="check one library litmus test against the three models",
     )
     p.add_argument("name", nargs="?", help="litmus test name (omit to list)")

@@ -18,7 +18,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from operator import attrgetter
 
 from repro.core.events import Event, Execution
-from repro.core.labels import AtomicKind
+from repro.core.labels import ORDERED_ATOMIC_KINDS, AtomicKind
 
 _PROGRAM_ORDER_KEY = attrgetter("tid", "po_index")
 
@@ -170,46 +170,56 @@ class OperationGraph:
         return self.po_edges | self.conflict_edges
 
     # -- reachability with program-order tracking ------------------------------
-    @staticmethod
-    def _reach_with_po(
-        nodes: Tuple[Operation, ...],
-        edges: FrozenSet[Tuple[Operation, Operation]],
-        po_edges: FrozenSet[Tuple[Operation, Operation]],
-    ) -> Tuple[Set[Tuple[Operation, Operation]], Set[Tuple[Operation, Operation]]]:
-        """Return (reach_any, reach_po): pairs connected by any path, and
-        pairs connected by a path containing at least one program-order edge."""
-        succ: Dict[Operation, List[Tuple[Operation, bool]]] = {}
-        for a, b in edges:
-            succ.setdefault(a, []).append((b, (a, b) in po_edges))
-        reach_any: Set[Tuple[Operation, Operation]] = set()
-        reach_po: Set[Tuple[Operation, Operation]] = set()
-        for start in nodes:
-            # BFS over (node, has_po_edge_so_far) states.
-            seen: Set[Tuple[Operation, bool]] = set()
-            frontier: List[Tuple[Operation, bool]] = [
-                (nxt, is_po) for nxt, is_po in succ.get(start, [])
-            ]
-            while frontier:
-                node, has_po = frontier.pop()
-                if (node, has_po) in seen:
-                    continue
-                seen.add((node, has_po))
-                reach_any.add((start, node))
-                if has_po:
-                    reach_po.add((start, node))
-                for nxt, is_po in succ.get(node, []):
-                    frontier.append((nxt, has_po or is_po))
-        return reach_any, reach_po
+    @cached_property
+    def _position(self) -> Dict[int, int]:
+        """``id(operation)`` -> its bit in the reachability rows."""
+        return {id(op): i for i, op in enumerate(self.operations)}
+
+    def _reach_rows(self, edge_ok=None) -> Tuple[List[int], List[int]]:
+        """``(reach_any, reach_po)`` as one int bitmask row per operation:
+        bit *j* of row *i* is set when a path of graph edges (those
+        passing *edge_ok*, or all) leads from operation *i* to *j*; in
+        ``reach_po``, a path containing at least one program-order edge."""
+        pos = self._position
+        n = len(self.operations)
+        succ = [0] * n
+        po_succ = [0] * n
+        po_edges = self.po_edges
+        for u, v in self.graph_edges:
+            if edge_ok is not None and not edge_ok(u, v):
+                continue
+            i, bit = pos[id(u)], 1 << pos[id(v)]
+            succ[i] |= bit
+            if (u, v) in po_edges:
+                po_succ[i] |= bit
+        # Warshall's closure over bitmask rows: paths of length >= 1.
+        reach = succ
+        for k in range(n):
+            k_bit, k_row = 1 << k, reach[k]
+            for i in range(n):
+                if reach[i] & k_bit:
+                    reach[i] |= k_row
+        # A path with a po edge is s ->* u ->po v ->* t, each ->* of
+        # length >= 0.
+        reach_po = []
+        for s in range(n):
+            via = _union_rows(po_succ, reach[s] | (1 << s))
+            reach_po.append(via | _union_rows(reach, via))
+        return reach, reach_po
 
     @cached_property
-    def _full_reach(self):
-        return self._reach_with_po(self.operations, self.graph_edges, self.po_edges)
+    def _full_reach(self) -> Tuple[List[int], List[int]]:
+        return self._reach_rows()
+
+    def _holds(self, rows: List[int], a: Operation, b: Operation) -> bool:
+        pos = self._position
+        return bool(rows[pos[id(a)]] >> pos[id(b)] & 1)
 
     def reaches(self, a: Operation, b: Operation) -> bool:
-        return (a, b) in self._full_reach[0]
+        return self._holds(self._full_reach[0], a, b)
 
     def reaches_with_po(self, a: Operation, b: Operation) -> bool:
-        return (a, b) in self._full_reach[1]
+        return self._holds(self._full_reach[1], a, b)
 
     def has_ordering_path(self, a: Operation, b: Operation) -> bool:
         """An ordering path: a path from *a* to *b* with at least one
@@ -230,18 +240,23 @@ class OperationGraph:
     # outright (the ordering a DRF1 system already enforces).  We
     # implement exactly that.
 
-    def _uniform_valid_path(
-        self,
-        a: Operation,
-        b: Operation,
-        edge_ok,
-    ) -> bool:
-        edges = frozenset(
-            (u, v) for u, v in self.graph_edges if edge_ok(u, v)
-        )
-        po_valid = frozenset(e for e in edges if e in self.po_edges)
-        __, reach_po = self._reach_with_po(self.operations, edges, po_valid)
-        return (a, b) in reach_po
+    @cached_property
+    def _same_address_reach_po(self) -> List[int]:
+        """Clause (2): uniform paths of same-address atomic edges."""
+        return self._reach_rows(
+            lambda u, v: u.loc == v.loc and u.is_atomic and v.is_atomic
+        )[1]
+
+    @cached_property
+    def _ordered_reach_po(self) -> List[int]:
+        """Clause (3): uniform paths between accesses the system keeps
+        program-ordered among themselves — paired/unpaired in the paper,
+        plus the acquire/release extension labels (also never reordered
+        with respect to other non-relaxed atomics)."""
+        return self._reach_rows(
+            lambda u, v: u.label in ORDERED_ATOMIC_KINDS
+            and v.label in ORDERED_ATOMIC_KINDS
+        )[1]
 
     def has_valid_path(
         self,
@@ -251,22 +266,23 @@ class OperationGraph:
     ) -> bool:
         """True when the ordering a -> b is enforced by a valid path:
         the endpoints are hb1-ordered, or a uniform same-address atomic
-        path exists, or a uniform paired/unpaired path exists."""
+        path exists, or a uniform paired/unpaired path exists.  Neither
+        uniform family depends on the endpoints, so each one's
+        reachability is computed once per graph."""
         if not a.conflicts_with(b):
             return False
         if self.hb1_holds(hb1_event_pairs, a, b):
             return True
-        if self._uniform_valid_path(
-            a, b, lambda u, v: u.loc == v.loc and u.is_atomic and v.is_atomic
-        ):
-            return True
-        # Clause (3): accesses the system keeps program-ordered among
-        # themselves — paired/unpaired in the paper, plus the
-        # acquire/release extension labels (also never reordered with
-        # respect to other non-relaxed atomics).
-        from repro.core.labels import ORDERED_ATOMIC_KINDS
-
-        strong = ORDERED_ATOMIC_KINDS
-        return self._uniform_valid_path(
-            a, b, lambda u, v: u.label in strong and v.label in strong
+        return self._holds(self._same_address_reach_po, a, b) or self._holds(
+            self._ordered_reach_po, a, b
         )
+
+
+def _union_rows(rows: List[int], mask: int) -> int:
+    """The union of ``rows[i]`` over the set bits *i* of *mask*."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out

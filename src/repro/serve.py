@@ -13,7 +13,7 @@ transports:
 
 Architecture (see ``docs/serve.md``)::
 
-    transport -> validate -> bounded queue -> dispatchers -> shards
+    transport -> validate -> bounded queue -> dispatchers -> tasks
                                   |                            |
                                busy/429                 warm perf.pool
                                                      (+ perf.cache store)
@@ -24,10 +24,12 @@ the stdin transport simply stops reading when it fills (natural pipe
 backpressure), while the HTTP transport answers ``429`` with a ``busy``
 envelope.  Dispatcher coroutines pull requests, consult the
 content-addressed response cache (identical requests are O(1) warm
-hits), and on a miss fan the request's shards — one model per check,
-one workload per sweep, one corpus file per audit — across the warm
-:mod:`repro.perf.pool` executor, so shards of concurrent requests
-interleave on the same workers.  Responses are deterministic and
+hits), and on a miss run the request's tasks on the warm
+:mod:`repro.perf.pool` executor: a check request is one task that
+checks all its models in one pipeline, while sweeps, audits and batches
+fan out one task per shard (one workload, one corpus file, one batch
+slice), so tasks of concurrent requests interleave on the same
+workers.  Responses are deterministic and
 byte-identical to direct :func:`repro.api.handle_request` calls.
 
 :func:`generate_load` is the load generator behind ``python -m repro
@@ -49,6 +51,7 @@ from pickle import PicklingError
 from typing import Any, AsyncIterator, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.api.core import (
+    execute_check_shards,
     execute_shard,
     merge_shards,
     request_cache_key,
@@ -86,7 +89,7 @@ class Service:
     """The queue + dispatcher core shared by every transport.
 
     ``jobs`` sizes the warm process pool (``None`` auto-resolves; ``1``
-    or a single-CPU host runs shards on a single worker thread instead
+    or a single-CPU host runs tasks on a single worker thread instead
     — correct, just serial).  ``cache`` is a
     :data:`~repro.perf.cache.CacheSpec` for the shared response store
     (default: on, at the default cache directory).  ``queue_limit``
@@ -244,18 +247,17 @@ class Service:
                 self.metrics.bump(SERVE_ERROR)
             self._queue.task_done()
 
-    async def _run_shard(self, shard: Dict[str, Any]) -> Dict[str, Any]:
-        """One shard on the warm pool, falling back to the thread worker
-        when the pool cannot run it (broken pool, unpicklable payload)."""
+    async def _run_task(self, fn: Callable[[Any], Any], task: Any) -> Any:
+        """``fn(task)`` on the warm pool, falling back to the thread
+        worker when the pool cannot run it (broken pool, unpicklable
+        payload)."""
         loop = asyncio.get_running_loop()
         if self.executor is not None:
             try:
-                return await loop.run_in_executor(
-                    self.executor, execute_shard, shard
-                )
+                return await loop.run_in_executor(self.executor, fn, task)
             except (BrokenProcessPool, PicklingError, OSError):
                 pass
-        return await loop.run_in_executor(self._serial, execute_shard, shard)
+        return await loop.run_in_executor(self._serial, fn, task)
 
     async def _execute(self, normalized: Dict[str, Any]) -> Dict[str, Any]:
         try:
@@ -268,9 +270,12 @@ class Service:
                     return ok_response(normalized, value)
             root = self.store.root if self.store is not None else None
             shards = shard_request(normalized, cache_root=root)
-            parts = await asyncio.gather(
-                *(self._run_shard(shard) for shard in shards)
-            )
+            if normalized["kind"] == "check":
+                parts = await self._run_task(execute_check_shards, shards)
+            else:
+                parts = await asyncio.gather(
+                    *(self._run_task(execute_shard, shard) for shard in shards)
+                )
             result = merge_shards(normalized, list(parts))
             if key is not None:
                 self.store.put(key, result)

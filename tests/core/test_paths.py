@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core.executions import enumerate_sc_executions
-from repro.core.labels import AtomicKind
+from repro.core.labels import ORDERED_ATOMIC_KINDS, AtomicKind
+from repro.core.model import MODELS, _prepare
 from repro.core.paths import OperationGraph
 from repro.core.races import RaceAnalysis
 from repro.litmus.ast import load, rmw, store
+from repro.litmus.corpus import load_corpus
 from repro.litmus.program import Program
 
 DATA = AtomicKind.DATA
@@ -136,3 +138,71 @@ class TestValidPaths:
         g = a.graph
         op_x, op_y = g.operations
         assert not g.has_valid_path(op_x, op_y, a._hb1_eids)
+
+
+def _reference_reach_with_po(nodes, edges, po_edges):
+    """(reach_any, reach_po) as pair sets, by breadth-first search over
+    (operation, path-has-a-po-edge) states from every start."""
+    succ = {}
+    for a, b in edges:
+        succ.setdefault(a, []).append((b, (a, b) in po_edges))
+    reach_any, reach_po = set(), set()
+    for start in nodes:
+        seen = set()
+        frontier = list(succ.get(start, []))
+        while frontier:
+            node, has_po = frontier.pop()
+            if (node, has_po) in seen:
+                continue
+            seen.add((node, has_po))
+            reach_any.add((start, node))
+            if has_po:
+                reach_po.add((start, node))
+            for nxt, is_po in succ.get(node, []):
+                frontier.append((nxt, has_po or is_po))
+    return reach_any, reach_po
+
+
+def _reference_valid_path(g, a, b, hb1_event_pairs):
+    """The per-query definition of :meth:`OperationGraph.has_valid_path`:
+    each uniform family's edges are filtered and searched afresh for
+    every (a, b), exactly as Section 3.3.3 states it."""
+
+    def uniform(edge_ok):
+        edges = frozenset((u, v) for u, v in g.graph_edges if edge_ok(u, v))
+        po_valid = frozenset(e for e in edges if e in g.po_edges)
+        return (a, b) in _reference_reach_with_po(g.operations, edges, po_valid)[1]
+
+    if not a.conflicts_with(b):
+        return False
+    if g.hb1_holds(hb1_event_pairs, a, b):
+        return True
+    return uniform(
+        lambda u, v: u.loc == v.loc and u.is_atomic and v.is_atomic
+    ) or uniform(
+        lambda u, v: u.label in ORDERED_ATOMIC_KINDS
+        and v.label in ORDERED_ATOMIC_KINDS
+    )
+
+
+@pytest.mark.parametrize("entry", load_corpus(), ids=lambda entry: entry.name)
+def test_path_queries_match_the_per_query_definitions(entry):
+    """On every execution of every model's view of a corpus program, the
+    once-per-graph bitmask reachability answers every (a, b) query as
+    the per-query searches do."""
+    queries = 0
+    for model in MODELS:
+        for execution in enumerate_sc_executions(_prepare(entry.program, model)).executions:
+            analysis = RaceAnalysis(execution)
+            g = analysis.graph
+            reach_any, reach_po = _reference_reach_with_po(
+                g.operations, g.graph_edges, g.po_edges
+            )
+            for a in g.operations:
+                for b in g.operations:
+                    assert g.reaches(a, b) == ((a, b) in reach_any)
+                    assert g.reaches_with_po(a, b) == ((a, b) in reach_po)
+                    expected = _reference_valid_path(g, a, b, analysis._hb1_eids)
+                    assert g.has_valid_path(a, b, analysis._hb1_eids) == expected
+                    queries += 1
+    assert queries
