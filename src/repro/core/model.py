@@ -565,8 +565,9 @@ class Pipeline:
         for idx, execution in enumerate(enumeration.executions):
             # Execution objects are shared wherever relabeling left them
             # untouched (base enum vs. per-model views), so memoize the
-            # signature on the execution, tagged with the intern dict the
-            # same way the per-event memo inside race_signature is.
+            # signature on the execution, tagged with the intern dict
+            # (executions, unlike a solver core's events, die with the
+            # call, so the tag pins nothing past it).
             d = execution.__dict__
             cached_sig = d.get("_batch_sig")
             if cached_sig is None or cached_sig[0] is not intern:

@@ -425,6 +425,13 @@ class RaceAnalysis:
         return None
 
 
+#: Key under which a :func:`race_signature` intern dict keeps its memo
+#: token.  Events hold the token rather than the dict, so an event that
+#: outlives its batch (a memoized solver core serves the same objects to
+#: later calls) pins no batch's interned keys.
+_INTERN_TAG = object()
+
+
 def race_signature(
     execution: Execution, intern: Optional[Dict[Tuple, int]] = None
 ) -> Tuple:
@@ -449,9 +456,14 @@ def race_signature(
     is injective, hence signature equality under a shared *intern* dict
     coincides with equality of the un-interned signatures; signatures
     built under different (or no) *intern* dicts are not comparable.
+    The dict also keeps, under :data:`_INTERN_TAG`, the token its
+    per-event memos are tagged with.
     """
     if intern is None:
         intern = {}
+    tag = intern.get(_INTERN_TAG)
+    if tag is None:
+        tag = intern[_INTERN_TAG] = object()
     by_eid = execution.by_eid
     # One pass over the events: intern each key and record the per-thread
     # multiset and per-location write sequence (T order) as we go.
@@ -465,14 +477,14 @@ def race_signature(
         # The enumerator shares Event objects across the executions of
         # one enumeration (common interleaving prefixes), so the interned
         # id and the flags below are memoized on the event, tagged with
-        # the intern dict so a new batch never sees a stale id.
+        # the intern dict's token so a new batch never sees a stale id.
         memo = d.get("_sig_memo")
-        if memo is None or memo[0] is not intern:
+        if memo is None or memo[0] is not tag:
             # setdefault evaluates len(intern) before any insertion, so
             # the id handed to a new key is exactly the next free one.
             k = setdefault(e.key(), len(intern))
             memo = (
-                intern,
+                tag,
                 k,
                 not e.is_init,
                 (e.loc, k) if e.kind == "W" else None,

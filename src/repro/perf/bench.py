@@ -1239,6 +1239,23 @@ REGRESSION_THRESHOLD = 0.20
 #: ``--baseline-fail`` gate fires on noise, not drift.
 REGRESSION_FLOOR_S = 0.1
 
+#: Prefix of the budget-truncated scaling totals: ``wall_s_scaling_<e>``
+#: sums the ``wall_s_<e>`` column of the section's ``per_program`` rows,
+#: which hold only the sizes engine ``<e>`` reached within its budget.
+_SCALING_PREFIX = "wall_s_scaling_"
+
+
+def _scaling_rows(section: Dict, key: str) -> Optional[frozenset]:
+    """The programs a scaling total *key* sums over (``None`` for any
+    other metric, which is a fixed timing)."""
+    if not key.startswith(_SCALING_PREFIX):
+        return None
+    column = "wall_s_" + key[len(_SCALING_PREFIX):]
+    return frozenset(
+        row.get("program") for row in section.get("per_program", ())
+        if isinstance(row, dict) and column in row
+    )
+
 
 def compare_baseline(record: Dict, baseline: Dict) -> List[str]:
     """Diff two ``BENCH_<date>.json`` records section by section.
@@ -1247,9 +1264,12 @@ def compare_baseline(record: Dict, baseline: Dict) -> List[str]:
     in both records and returns one line per metric; increases past
     :data:`REGRESSION_THRESHOLD` that also grow by more than
     :data:`REGRESSION_FLOOR_S` absolute are suffixed with a
-    ``WARNING``.  Used by ``python -m repro bench --baseline OLD.json``
-    to turn the perf trajectory the JSON records accumulate into an
-    actionable diff.
+    ``WARNING``.  A budget-truncated scaling total
+    (``wall_s_scaling_*``) is compared only when both records summed it
+    over the same per-program rows; otherwise its line reads
+    ``UNCOMPARABLE`` and never counts as a regression.  Used by
+    ``python -m repro bench --baseline OLD.json`` to turn the perf
+    trajectory the JSON records accumulate into an actionable diff.
     """
     lines: List[str] = []
     warnings = 0
@@ -1263,6 +1283,16 @@ def compare_baseline(record: Dict, baseline: Dict) -> List[str]:
             after, before = current[key], base.get(key)
             if not isinstance(before, (int, float)) or before <= 0 or \
                     not isinstance(after, (int, float)):
+                continue
+            rows_after = _scaling_rows(current, key)
+            rows_before = _scaling_rows(base, key)
+            if rows_after != rows_before:
+                lines.append(
+                    f"{section}.{key[len('wall_s_'):]}: UNCOMPARABLE "
+                    f"(summed over {len(rows_before)} baseline rows vs "
+                    f"{len(rows_after)} now; the budget cut a different "
+                    f"set of sizes)"
+                )
                 continue
             delta = after / before - 1.0
             tag = ""

@@ -13,9 +13,12 @@ assignment.  The loop is:
    for every other shape selection) and the solver re-run — this is the
    lazy half of the order-variable transitivity encoding;
 3. topologically sort the selected instances into a concrete SC total
-   order T and rebuild a full :class:`~repro.core.events.Execution`
-   (events, rf, deps, RMW pairs, final state), so the existing race
-   analyses run unchanged;
+   order T and decode the class once into a :class:`_DecodedClass` (the
+   instances in T order plus rf, deps, RMW pairs and final state over
+   eids); each served labeling turns it into a full
+   :class:`~repro.core.events.Execution` whose events are built once per
+   (eid, instance, label), so the existing race analyses run unchanged
+   and their per-event memos hit across classes and models;
 4. block the model's *race signature* — the selected shapes, the
    reads-from choice and the coherence order (the same projection
    :func:`repro.core.races.race_signature` dedups on) — so the solver
@@ -217,20 +220,19 @@ def _cycle_clause(enc: Encoding, nodes: List[int], tags: List[Tuple]) -> List[in
     return sorted(lits, key=abs)
 
 
-def _blocking_clause(enc: Encoding, shapes, rf_source: Dict[int, int]) -> List[int]:
+def _blocking_clause(
+    enc: Encoding, shapes, edges: Dict[int, List], rf_source: Dict[int, int],
+) -> List[int]:
     """Negation of the model's race signature: shape selection, rf choice
-    and coherence order (same-location cross-thread write order)."""
+    and coherence order (same-location cross-thread write order).  The
+    selected instances are the keys of the model's *edges*."""
     solver = enc.solver
     lits = [-enc.sel_var[(tid, s.index)] for tid, s in enumerate(shapes)]
     for r_gid, w_gid in rf_source.items():
         lits.append(-enc.rf_var[(r_gid, w_gid)])
-    selected = {
-        i.gid for i in enc.insts
-        if not i.is_init and i.shape is shapes[i.tid]
-    }
     by_gid = enc.by_gid
     for (a_gid, b_gid), var in enc.o_var.items():
-        if a_gid not in selected or b_gid not in selected:
+        if a_gid not in edges or b_gid not in edges:
             continue
         a, b = by_gid[a_gid], by_gid[b_gid]
         if a.kind == "W" and b.kind == "W" and a.loc == b.loc:
@@ -238,14 +240,80 @@ def _blocking_clause(enc: Encoding, shapes, rf_source: Dict[int, int]) -> List[i
     return lits
 
 
+class _DecodedClass:
+    """One execution class decoded from an acyclic model: everything an
+    :class:`Execution` needs but its events' labels and final registers.
+
+    ``insts`` lists the selected instances in T order (so an event's eid
+    is its index there); the relations are over those eids and are
+    shared, never copied, by every execution built from the class.
+    """
+
+    __slots__ = ("shapes", "insts", "order", "rf_map", "rmw_pairs",
+                 "dep_edges", "final_memory", "rmw_info")
+
+    def __init__(self, shapes, insts, rf_map, rmw_pairs, dep_edges,
+                 final_memory, rmw_info):
+        self.shapes: Tuple = shapes
+        self.insts: Tuple[Inst, ...] = insts
+        self.order: Tuple[int, ...] = tuple(range(len(insts)))
+        self.rf_map: Dict[int, int] = rf_map
+        self.rmw_pairs: List[Tuple[int, int]] = rmw_pairs
+        self.dep_edges: Dict[str, List[Tuple[int, int]]] = dep_edges
+        self.final_memory: Dict[str, int] = final_memory
+        self.rmw_info: Dict[int, RmwInfo] = rmw_info
+
+    def events(self, label_of: Dict[int, AtomicKind],
+               table: Dict[Tuple, Event]) -> List[Event]:
+        """The class's events under the labeling *label_of* (instance
+        gid -> label), each built once per ``(eid, gid, label)`` in
+        *table* — so executions built under one table share the objects
+        of every event they agree on, across classes and models."""
+        events: List[Event] = []
+        append = events.append
+        for eid, inst in enumerate(self.insts):
+            gid = inst.gid
+            label = label_of[gid]
+            key = (eid, gid, label)
+            event = table.get(key)
+            if event is None:
+                event = table[key] = Event(
+                    eid, inst.tid, inst.kind, inst.loc, inst.value, label,
+                    inst.pos, inst.is_init,
+                )
+            append(event)
+        return events
+
+    def executions(self, events: List[Event],
+                   expand_registers: bool) -> List[Execution]:
+        """The class's representative execution over *events* — plus,
+        with *expand_registers*, every other final-register variant."""
+        if expand_registers:
+            variants = _register_products(self.shapes)
+        else:
+            variants = [[dict(s.reg_variants[0]) for s in self.shapes]]
+        return [
+            Execution(
+                events=events,
+                order=self.order,
+                rf_map=self.rf_map,
+                rmw_pairs=self.rmw_pairs,
+                dep_edges=self.dep_edges,
+                final_memory=self.final_memory,
+                final_registers=combo,
+                rmw_info=self.rmw_info,
+            )
+            for combo in variants
+        ]
+
+
 def _decode(
     enc: Encoding,
     shapes,
     edges: Dict[int, List],
     rf_source: Dict[int, int],
-    final_registers,
-) -> Execution:
-    """Rebuild a concrete :class:`Execution` from an acyclic model.
+) -> _DecodedClass:
+    """Decode an acyclic model into its execution class.
 
     The total order is the *lexicographically least* (by thread id)
     linear extension of the committed edges, scheduled at instruction
@@ -298,14 +366,9 @@ def _decode(
                     heapq.heappush(heap, dst_step)
 
     eid_of: Dict[int, int] = {}
-    events: List[Event] = []
     final_memory: Dict[str, int] = {}
     for eid, inst in enumerate(t_order):
         eid_of[inst.gid] = eid
-        events.append(Event(
-            eid, inst.tid, inst.kind, inst.loc, inst.value, inst.label,
-            inst.pos, inst.is_init,
-        ))
         if inst.kind == "W":
             final_memory[inst.loc] = inst.value
 
@@ -327,15 +390,9 @@ def _decode(
             dep_edges[name].extend(
                 (pos_eid[(tid, s)], pos_eid[(tid, d)]) for s, d in local_edges
             )
-    return Execution(
-        events=events,
-        order=list(range(len(events))),
-        rf_map=rf_map,
-        rmw_pairs=rmw_pairs,
-        dep_edges=dep_edges,
-        final_memory=final_memory,
-        final_registers=final_registers,
-        rmw_info=rmw_info,
+    return _DecodedClass(
+        tuple(shapes), tuple(t_order), rf_map, rmw_pairs, dep_edges,
+        final_memory, rmw_info,
     )
 
 
@@ -352,6 +409,8 @@ def _enumerate_sat(
     trace_on = tracer.enabled
     scope = tracer.scope(f"sat:{program.name}", cycle=0.0, component="solver")
     executions: List[Execution] = []
+    label_of = {inst.gid: inst.label for inst in enc.insts}
+    events: Dict[Tuple, Event] = {}
     classes = 0
     solve_s = 0.0
     cap = max_executions if max_executions is not None else DEFAULT_MAX_CLASSES
@@ -372,25 +431,13 @@ def _enumerate_sat(
                             length=len(cycle[0]))
             continue
         classes += 1
-        representative = [dict(s.reg_variants[0]) for s in shapes]
-        execution = _decode(enc, shapes, edges, rf_source, representative)
-        executions.append(execution)
-        if expand_registers:
-            variants = _register_products(shapes)
-            for combo in variants[1:]:  # [0] is the representative
-                executions.append(Execution(
-                    events=execution.events,
-                    order=execution.order,
-                    rf_map=execution._rf_map,
-                    rmw_pairs=execution._rmw_pairs,
-                    dep_edges=execution._dep_edges,
-                    final_memory=execution.final_memory,
-                    final_registers=combo,
-                    rmw_info=execution.rmw_info,
-                ))
+        decoded = _decode(enc, shapes, edges, rf_source)
+        executions += decoded.executions(
+            decoded.events(label_of, events), expand_registers
+        )
         if trace_on:
             tracer.emit(stats.steps, "solver", "execution", distinct=classes)
-        solver.add_clause(_blocking_clause(enc, shapes, rf_source))
+        solver.add_clause(_blocking_clause(enc, shapes, edges, rf_source))
     stats.steps = solver.stats.propagations
     stats.completed_paths = classes
     scope.close(solver.stats.conflicts)
@@ -441,13 +488,37 @@ class _ClassRecord:
     to the one-shot path at every cap.
     """
 
-    __slots__ = ("shapes", "execution", "stats", "solve_s")
+    __slots__ = ("decoded", "stats", "solve_s")
 
-    def __init__(self, shapes, execution, stats: SatStats, solve_s: float):
-        self.shapes = shapes
-        self.execution = execution
+    def __init__(self, decoded: _DecodedClass, stats: SatStats,
+                 solve_s: float):
+        self.decoded = decoded
         self.stats = stats
         self.solve_s = solve_s
+
+
+def _shape_labels(
+    kinds: Tuple[AtomicKind, ...], key: Tuple[int, int], shape,
+) -> Dict[int, AtomicKind]:
+    """One shape's event position -> label under *kinds*, or
+    :class:`_LabelCollision` when its traces disagree on a label."""
+    tid, index = key
+    vectors = set()
+    for srcs in shape.src_variants:
+        if any(s < 0 for s in srcs):
+            raise _LabelCollision(
+                f"shape t{tid}s{index} has events without static provenance"
+            )
+        vectors.add(tuple(kinds[s] for s in srcs))
+    if len(vectors) > 1:
+        raise _LabelCollision(
+            f"shape t{tid}s{index} groups traces whose labels disagree "
+            "under this model"
+        )
+    return {
+        ev[0]: kinds[src]
+        for ev, src in zip(shape.events, shape.src_variants[0])
+    }
 
 
 class SharedCore:
@@ -460,9 +531,13 @@ class SharedCore:
     CNF, so the erased program encodes once and its AllSAT loop runs
     once, warm: the CDCL instance keeps its learnt clauses, VSIDS
     activity and saved phases across blocking iterations *and* across
-    the models/caps served.  :meth:`serve` decodes per model by mapping
-    each shape's static-instruction provenance through the model's
-    label vector.
+    the models/caps served.  Each class is decoded once; :meth:`serve`
+    labels it per model by mapping each shape's static-instruction
+    provenance through the model's label vector, building every served
+    :class:`Event` once per (eid, instance, label) in the core's event
+    table — so one core's executions share event objects across classes
+    and models, as the enumerator's do, and the per-event memos of
+    :func:`repro.core.races.race_signature` and :class:`Event` hit.
 
     Everything served is byte-identical to a one-shot encoding of the
     labeled program: no label collision (checked per serve) means the
@@ -473,7 +548,9 @@ class SharedCore:
 
     Once exhausted the encoding and solver are dropped (``enc = None``)
     — the records alone serve any cap — which also makes an exhausted
-    core a plain picklable value for the ``perf.cache`` entry.
+    core a plain picklable value for the ``perf.cache`` entry.  The
+    event table grows with the records and dies with the core; it is
+    left out of the pickle (a loaded core rebuilds it as it serves).
     """
 
     def __init__(self, erased: Program, max_traces: int = MAX_TRACES_PER_THREAD):
@@ -490,6 +567,13 @@ class SharedCore:
         self.final_solve_s = 0.0
         self._solve_s = 0.0
         self._stored = False  # already persisted to a perf.cache store
+        #: (eid, gid, label) -> the one Event served for it
+        self._events: Dict[Tuple, Event] = {}
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["_events"] = {}
+        return state
 
     def ensure(self, cap: int) -> None:
         """Enumerate classes until *cap* are recorded or UNSAT."""
@@ -514,46 +598,37 @@ class SharedCore:
             if cycle is not None:
                 solver.add_clause(_cycle_clause(enc, *cycle))
                 continue
-            representative = [dict(s.reg_variants[0]) for s in shapes]
-            execution = _decode(enc, shapes, edges, rf_source, representative)
-            solver.add_clause(_blocking_clause(enc, shapes, rf_source))
+            decoded = _decode(enc, shapes, edges, rf_source)
+            solver.add_clause(_blocking_clause(enc, shapes, edges, rf_source))
             self.records.append(_ClassRecord(
-                tuple(shapes), execution, replace(solver.stats), self._solve_s,
+                decoded, replace(solver.stats), self._solve_s,
             ))
 
-    def _shape_labels(
+    def _labels(
         self, kinds: Tuple[AtomicKind, ...], records: List[_ClassRecord],
-    ) -> Dict[Tuple[int, int], Dict[int, AtomicKind]]:
-        """Per served shape, event position -> model label.
+    ) -> Dict[int, AtomicKind]:
+        """Per instance of the served classes, gid -> model label.
 
         Raises :class:`_LabelCollision` when a shape's provenance
         vectors disagree on any label under *kinds* — the one case where
         the labeled program's trace partition is finer than the erased
         one and sharing would be unsound.
         """
-        label_of: Dict[Tuple[int, int], Dict[int, AtomicKind]] = {}
+        label_of: Dict[int, AtomicKind] = {}
+        by_shape: Dict[Tuple[int, int], Dict[int, AtomicKind]] = {}
         for rec in records:
-            for tid, shape in enumerate(rec.shapes):
-                key = (tid, shape.index)
-                if key in label_of:
+            for inst in rec.decoded.insts:
+                if inst.gid in label_of:
                     continue
-                vectors = set()
-                for srcs in shape.src_variants:
-                    if any(s < 0 for s in srcs):
-                        raise _LabelCollision(
-                            f"shape t{tid}s{shape.index} has events without "
-                            "static provenance"
-                        )
-                    vectors.add(tuple(kinds[s] for s in srcs))
-                if len(vectors) > 1:
-                    raise _LabelCollision(
-                        f"shape t{tid}s{shape.index} groups traces whose "
-                        "labels disagree under this model"
-                    )
-                label_of[key] = {
-                    ev[0]: kinds[src]
-                    for ev, src in zip(shape.events, shape.src_variants[0])
-                }
+                if inst.is_init:
+                    label_of[inst.gid] = inst.label
+                    continue
+                shape = inst.shape
+                key = (inst.tid, shape.index)
+                by_pos = by_shape.get(key)
+                if by_pos is None:
+                    by_pos = by_shape[key] = _shape_labels(kinds, key, shape)
+                label_of[inst.gid] = by_pos[inst.pos]
         return label_of
 
     def serve(
@@ -571,42 +646,14 @@ class SharedCore:
         self.ensure(cap)
         n = min(cap, len(self.records))
         served = self.records[:n]
-        label_of = self._shape_labels(label_kinds(program), served)
+        label_of = self._labels(label_kinds(program), served)
+        table = self._events
         executions: List[Execution] = []
         for rec in served:
-            base = rec.execution
-            events = [
-                ev if ev.is_init else Event(
-                    ev.eid, ev.tid, ev.kind, ev.loc, ev.value,
-                    label_of[(ev.tid, rec.shapes[ev.tid].index)][ev.po_index],
-                    ev.po_index, ev.is_init,
-                )
-                for ev in base.events
-            ]
-            execution = Execution(
-                events=events,
-                order=base.order,
-                rf_map=base._rf_map,
-                rmw_pairs=base._rmw_pairs,
-                dep_edges=base._dep_edges,
-                final_memory=base.final_memory,
-                final_registers=base.final_registers,
-                rmw_info=base.rmw_info,
+            decoded = rec.decoded
+            executions += decoded.executions(
+                decoded.events(label_of, table), expand_registers
             )
-            executions.append(execution)
-            if expand_registers:
-                variants = _register_products(rec.shapes)
-                for combo in variants[1:]:  # [0] is the representative
-                    executions.append(Execution(
-                        events=execution.events,
-                        order=execution.order,
-                        rf_map=execution._rf_map,
-                        rmw_pairs=execution._rmw_pairs,
-                        dep_edges=execution._dep_edges,
-                        final_memory=execution.final_memory,
-                        final_registers=combo,
-                        rmw_info=execution.rmw_info,
-                    ))
         # The counters a fresh one-shot run capped at `cap` would report:
         # the snapshot after the cap-th blocking clause when the cap cut
         # enumeration short, the post-UNSAT totals otherwise.
@@ -667,7 +714,7 @@ def _core_for(erased: Program, max_traces: int, store) -> SharedCore:
     key = (repr(erased), max_traces)
     hit = _CORE_MEMO.get(key)
     if isinstance(hit, SolverCapacityError):
-        raise hit
+        raise SolverCapacityError(*hit.args)
     if isinstance(hit, SharedCore):
         return hit
     if store is not None:
@@ -680,7 +727,10 @@ def _core_for(erased: Program, max_traces: int, store) -> SharedCore:
     try:
         core = SharedCore(erased, max_traces)
     except SolverCapacityError as exc:
-        _memo_put(key, exc)
+        # A raised exception's traceback pins its frames (the calling
+        # pipeline and everything it made), so the memo keeps a bare
+        # copy and every hit raises a fresh one.
+        _memo_put(key, SolverCapacityError(*exc.args))
         raise
     _memo_put(key, core)
     return core

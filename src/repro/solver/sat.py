@@ -33,7 +33,17 @@ The solver implements the classic conflict-driven clause-learning loop:
 Literals use the DIMACS convention externally: variables are positive
 integers handed out by :meth:`Solver.new_var`, a negative integer is the
 negated literal.  Internally literal ``2*v`` is variable ``v`` and
-``2*v + 1`` its negation.
+``2*v + 1`` its negation, and the assignment is kept per *literal*
+(``_vals[lit]`` is +1 true, -1 false, 0 unassigned), so the propagation
+loop reads a literal's value with one list index.
+
+The hot loops (:meth:`Solver._propagate`, :meth:`Solver._search`,
+:meth:`Solver._analyze`, :meth:`Solver._cancel_until`) bind the solver
+state they touch to locals; assignment goes through the one
+:meth:`Solver._enqueue` and activity through :meth:`Solver._bump_var`.
+The search itself — every decision, conflict, propagation, restart,
+learnt clause and model — is pinned by ``tests/solver/golden``: the
+counters ship in v1 ``solver_stats`` payloads and ``audit --json``.
 """
 
 from __future__ import annotations
@@ -98,7 +108,7 @@ class Solver:
         self._clauses: List[_Clause] = []
         self._learnts: List[_Clause] = []
         self._watches: List[List[_Clause]] = []
-        self._assign: List[int] = []  # per var: +1 true, -1 false, 0 unset
+        self._vals: List[int] = []  # per literal: +1 true, -1 false, 0 unset
         self._level: List[int] = []
         self._reason: List[Optional[_Clause]] = []
         self._trail: List[int] = []  # internal literals, assignment order
@@ -121,7 +131,7 @@ class Solver:
     def new_var(self) -> int:
         """Allocate a fresh variable; returns its (positive) DIMACS id."""
         self._nvars += 1
-        self._assign.append(0)
+        self._vals += (0, 0)
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
@@ -145,13 +155,6 @@ class Solver:
         if not 0 <= var < self._nvars:
             raise ValueError(f"unknown variable in literal {ext}")
         return 2 * var + (1 if ext < 0 else 0)
-
-    def _lit_value(self, lit: int) -> int:
-        """+1 literal true, -1 false, 0 unassigned."""
-        a = self._assign[lit >> 1]
-        if a == 0:
-            return 0
-        return -a if lit & 1 else a
 
     # -- clause groups -------------------------------------------------------
     def new_group(self) -> int:
@@ -202,11 +205,12 @@ class Solver:
             if not self._groups.get(group, False):
                 raise ValueError(f"clause group {group} is retracted or unknown")
             ext_lits = [-group, *ext_lits]
+        vals = self._vals
         lits: List[int] = []
         seen: Dict[int, int] = {}
         for ext in ext_lits:
             lit = self._lit(ext)
-            v = self._lit_value(lit)
+            v = vals[lit]
             if v > 0:
                 return True  # satisfied at level 0
             if v < 0:
@@ -239,7 +243,8 @@ class Solver:
     # -- assignment / propagation -------------------------------------------
     def _enqueue(self, lit: int, reason: Optional[_Clause]) -> None:
         var = lit >> 1
-        self._assign[var] = -1 if lit & 1 else 1
+        self._vals[lit] = 1
+        self._vals[lit ^ 1] = -1
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._phase[var] = not lit & 1
@@ -247,67 +252,85 @@ class Solver:
 
     def _propagate(self) -> Optional[_Clause]:
         """Unit propagation; returns a conflicting clause or ``None``."""
-        while self._qhead < len(self._trail):
-            p = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats.propagations += 1
-            ws = self._watches[p]
+        trail = self._trail
+        qhead = start = self._qhead
+        if qhead >= len(trail):
+            return None
+        vals = self._vals
+        watches = self._watches
+        enqueue = self._enqueue
+        conflict: Optional[_Clause] = None
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            false_lit = p ^ 1
+            ws = watches[p]
             i = j = 0
             n = len(ws)
-            conflict: Optional[_Clause] = None
             while i < n:
                 c = ws[i]
                 i += 1
                 if c.deleted:
                     continue  # lazily dropped from the watch list
                 lits = c.lits
-                false_lit = p ^ 1
                 if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
+                    lits[0] = lits[1]
+                    lits[1] = false_lit
                 first = lits[0]
-                if self._lit_value(first) > 0:
+                value = vals[first]
+                if value > 0:
                     ws[j] = c
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(lits)):
-                    if self._lit_value(lits[k]) >= 0:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches[lits[1] ^ 1].append(c)
-                        moved = True
+                    other = lits[k]
+                    if vals[other] >= 0:
+                        lits[1] = other
+                        lits[k] = false_lit
+                        watches[other ^ 1].append(c)
                         break
-                if moved:
-                    continue
-                ws[j] = c
-                j += 1
-                if self._lit_value(first) < 0:
-                    conflict = c
-                    break
-                self._enqueue(first, c)
-            while i < n:
-                c = ws[i]
-                if not c.deleted:
+                else:
                     ws[j] = c
                     j += 1
-                i += 1
-            del ws[j:]
+                    if value < 0:
+                        conflict = c
+                        break
+                    enqueue(first, c)
             if conflict is not None:
-                self._qhead = len(self._trail)
+                while i < n:
+                    c = ws[i]
+                    if not c.deleted:
+                        ws[j] = c
+                        j += 1
+                    i += 1
+                del ws[j:]
+                self.stats.propagations += qhead - start
+                self._qhead = len(trail)
                 return conflict
+            del ws[j:]
+        self.stats.propagations += qhead - start
+        self._qhead = qhead
         return None
 
     def _cancel_until(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self._trail_lim[level]
-        for k in range(len(self._trail) - 1, bound - 1, -1):
-            var = self._trail[k] >> 1
-            self._assign[var] = 0
-            self._reason[var] = None
-            heappush(self._order, (-self._activity[var], var))
-        del self._trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+        trail = self._trail
+        bound = trail_lim[level]
+        vals = self._vals
+        reason = self._reason
+        activity = self._activity
+        order = self._order
+        for lit in reversed(trail[bound:]):
+            var = lit >> 1
+            vals[lit] = 0
+            vals[lit ^ 1] = 0
+            reason[var] = None
+            heappush(order, (-activity[var], var))
+        del trail[bound:]
+        del trail_lim[level:]
+        self._qhead = len(trail)
 
     # -- activity ------------------------------------------------------------
     def _bump_var(self, var: int) -> None:
@@ -316,7 +339,7 @@ class Solver:
             for v in range(self._nvars):
                 self._activity[v] *= 1e-100
             self._var_inc *= 1e-100
-        if self._assign[var] == 0:
+        if self._vals[var << 1] == 0:
             heappush(self._order, (-self._activity[var], var))
 
     def _bump_clause(self, clause: _Clause) -> None:
@@ -330,6 +353,10 @@ class Solver:
     def _analyze(self, conflict: _Clause) -> Tuple[List[int], int]:
         """1UIP analysis; returns (learnt clause, backjump level) with the
         asserting literal first."""
+        level = self._level
+        trail = self._trail
+        reason = self._reason
+        bump_var = self._bump_var
         learnt: List[int] = [0]
         seen = bytearray(self._nvars)
         counter = 0
@@ -337,33 +364,32 @@ class Solver:
         reason_lits: Sequence[int] = conflict.lits
         if conflict.learnt:
             self._bump_clause(conflict)
-        index = len(self._trail) - 1
+        index = len(trail) - 1
         cur_level = len(self._trail_lim)
         while True:
-            start = 0 if p is None else 1
-            for q in reason_lits[start:]:
+            for q in (reason_lits if p is None else reason_lits[1:]):
                 var = q >> 1
-                if not seen[var] and self._level[var] > 0:
+                if not seen[var] and level[var] > 0:
                     seen[var] = 1
-                    self._bump_var(var)
-                    if self._level[var] >= cur_level:
+                    bump_var(var)
+                    if level[var] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[self._trail[index] >> 1]:
+            while not seen[trail[index] >> 1]:
                 index -= 1
-            p = self._trail[index]
+            p = trail[index]
             index -= 1
             var = p >> 1
             seen[var] = 0
             counter -= 1
             if counter == 0:
                 break
-            reason = self._reason[var]
-            assert reason is not None
-            if reason.learnt:
-                self._bump_clause(reason)
-            reason_lits = reason.lits
+            clause = reason[var]
+            assert clause is not None
+            if clause.learnt:
+                self._bump_clause(clause)
+            reason_lits = clause.lits
         learnt[0] = p ^ 1
         if len(learnt) == 1:
             return learnt, 0
@@ -371,10 +397,10 @@ class Solver:
         # put a literal of that level in the second watch position.
         max_i = 1
         for k in range(2, len(learnt)):
-            if self._level[learnt[k] >> 1] > self._level[learnt[max_i] >> 1]:
+            if level[learnt[k] >> 1] > level[learnt[max_i] >> 1]:
                 max_i = k
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, self._level[learnt[1] >> 1]
+        return learnt, level[learnt[1] >> 1]
 
     def _analyze_final(self, lit: int) -> Tuple[int, ...]:
         """Assumptions implying *lit* (internal), as internal literals."""
@@ -411,13 +437,6 @@ class Solver:
         self._learnts = keep
 
     # -- search --------------------------------------------------------------
-    def _pick_branch_var(self) -> int:
-        while self._order:
-            _, var = heappop(self._order)
-            if self._assign[var] == 0:
-                return var
-        return -1
-
     def solve(self, assumptions: Iterable[int] = ()) -> bool:
         """Solve under *assumptions* (DIMACS literals).
 
@@ -452,58 +471,72 @@ class Solver:
             self._cancel_until(0)
 
     def _search(self, budget: int, assumps: List[int]) -> Optional[bool]:
+        propagate = self._propagate
+        trail = self._trail
+        trail_lim = self._trail_lim
+        vals = self._vals
+        phase = self._phase
+        order = self._order
+        stats = self.stats
+        n_assumps = len(assumps)
         conflicts = 0
         while True:
-            conflict = self._propagate()
+            conflict = propagate()
             if conflict is not None:
-                self.stats.conflicts += 1
+                stats.conflicts += 1
                 conflicts += 1
-                if not self._trail_lim:
+                if not trail_lim:
                     self._ok = False
                     return False
                 learnt, back_level = self._analyze(conflict)
                 self._cancel_until(back_level)
+                lit = learnt[0]
                 if len(learnt) == 1:
-                    self._enqueue(learnt[0], None)
+                    clause = None
                 else:
                     clause = _Clause(learnt, learnt=True)
                     self._learnts.append(clause)
-                    self.stats.learned += 1
+                    stats.learned += 1
                     self._attach(clause)
                     self._bump_clause(clause)
-                    self._enqueue(learnt[0], clause)
                 self._var_inc *= self._var_decay
                 self._cla_inc *= self._cla_decay
-                continue
-            if conflicts >= budget:
-                return None  # restart
-            if len(self._learnts) - len(self._trail) >= self._max_learnts:
-                self._reduce_db()
-            # Place pending assumptions as pseudo-decisions.
-            lit = None
-            while len(self._trail_lim) < len(assumps):
-                p = assumps[len(self._trail_lim)]
-                v = self._lit_value(p)
-                if v > 0:
-                    self._trail_lim.append(len(self._trail))
-                elif v < 0:
-                    core = self._analyze_final(p ^ 1)
-                    self._conflict_core = tuple(
-                        sorted(_to_dimacs(l) for l in core + (p,))
-                    )
-                    return False
-                else:
-                    lit = p
-                    break
-            if lit is None:
-                var = self._pick_branch_var()
-                if var < 0:
-                    self._model = list(self._assign)
-                    return True
-                self.stats.decisions += 1
-                lit = 2 * var + (0 if self._phase[var] else 1)
-            self._trail_lim.append(len(self._trail))
-            self._enqueue(lit, None)
+            else:
+                if conflicts >= budget:
+                    return None  # restart
+                if len(self._learnts) - len(trail) >= self._max_learnts:
+                    self._reduce_db()
+                # Place pending assumptions as pseudo-decisions.
+                lit = None
+                while len(trail_lim) < n_assumps:
+                    p = assumps[len(trail_lim)]
+                    v = vals[p]
+                    if v > 0:
+                        trail_lim.append(len(trail))
+                    elif v < 0:
+                        core = self._analyze_final(p ^ 1)
+                        self._conflict_core = tuple(
+                            sorted(_to_dimacs(l) for l in core + (p,))
+                        )
+                        return False
+                    else:
+                        lit = p
+                        break
+                if lit is None:
+                    # Branch on the most active unassigned variable
+                    # (stale heap entries are skipped lazily).
+                    while order:
+                        var = heappop(order)[1]
+                        if vals[var << 1] == 0:
+                            break
+                    else:
+                        self._model = vals[0::2]
+                        return True
+                    stats.decisions += 1
+                    lit = 2 * var + (0 if phase[var] else 1)
+                trail_lim.append(len(trail))
+                clause = None
+            self._enqueue(lit, clause)
 
     # -- results -------------------------------------------------------------
     def value(self, var: int) -> bool:

@@ -33,7 +33,7 @@ from repro.litmus.fuzz import generate
 from repro.litmus.library import get as get_litmus
 from repro.obs.export import to_jsonl
 from repro.obs.tracer import Tracer
-from repro.solver import SolverCapacityError, sat_enumeration
+from repro.solver import SolverCapacityError, clear_core_memo, sat_enumeration
 from repro.solver.router import decide
 
 LIBRARY_NAMES = (
@@ -175,6 +175,32 @@ def test_enumerations_die_with_the_call(tmp_path, monkeypatch):
     assert results and made
     gc.collect()
     assert all(ref() is None for ref in made)
+
+
+def test_intern_dicts_die_with_the_call(monkeypatch):
+    """A SAT-routed call's race-signature intern dict dies with it, even
+    though the memoized solver cores keep the events it signed."""
+
+    class Intern(dict):  # a dict that can be weakly referenced
+        pass
+
+    made = []
+    real_init = model_module.Pipeline.__init__
+
+    def recording(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        self.sig_intern = Intern()
+        made.append(weakref.ref(self.sig_intern))
+
+    monkeypatch.setattr(model_module.Pipeline, "__init__", recording)
+    clear_core_memo()
+    results = list(check_many(generate(53, 6), engine="sat", jobs=1))
+    assert any(r.solver_stats and r.solver_stats.shared for r in results)
+    assert made
+    del results  # their witnesses' executions carry the call's signatures
+    gc.collect()
+    assert all(ref() is None for ref in made)
+    clear_core_memo()
 
 
 @pytest.mark.parametrize("model", MODELS)

@@ -169,6 +169,52 @@ class TestCompareBaseline:
         lines = compare_baseline({"solver": {"speedup": 9.0}}, {})
         assert lines == ["no comparable wall_s_* metrics between the records"]
 
+    @staticmethod
+    def _solver(enum_sizes, sat_sizes, enum_s=1.0, sat_s=1.0):
+        rows = [
+            {"program": f"scaled_mp_unpaired_{n}", "threads": n,
+             **({"wall_s_enum": enum_s} if n in enum_sizes else {}),
+             **({"wall_s_sat": sat_s} if n in sat_sizes else {})}
+            for n in sorted(set(enum_sizes) | set(sat_sizes))
+        ]
+        return {"solver": {
+            "wall_s_scaling_enum": enum_s * len(enum_sizes),
+            "wall_s_scaling_sat": sat_s * len(sat_sizes),
+            "per_program": rows,
+        }}
+
+    def test_truncated_scaling_totals_are_uncomparable(self):
+        """The enumerator reached n=8 in the baseline but only n=6 now:
+        its scaling total sums fewer rows, so it is reported, not
+        diffed — and never gates ``--baseline-fail``."""
+        from repro.perf.bench import baseline_regressions, compare_baseline
+
+        record = self._solver(enum_sizes=(4, 5, 6), sat_sizes=(4, 5, 6, 7, 8),
+                              sat_s=3.0)
+        baseline = self._solver(enum_sizes=(4, 5, 6, 7, 8),
+                                sat_sizes=(4, 5, 6, 7, 8))
+        lines = compare_baseline(record, baseline)
+        enum_line = [l for l in lines if l.startswith("solver.scaling_enum")]
+        assert enum_line == [
+            "solver.scaling_enum: UNCOMPARABLE (summed over 5 baseline rows "
+            "vs 3 now; the budget cut a different set of sizes)"
+        ]
+        # The same row set on both sides is a real timing and still gates.
+        sat_line = [l for l in lines if l.startswith("solver.scaling_sat")]
+        assert len(sat_line) == 1 and "WARNING" in sat_line[0]
+        assert baseline_regressions(record, baseline) == 1
+
+    def test_scaling_totals_over_equal_rows_are_diffed(self):
+        from repro.perf.bench import compare_baseline
+
+        sizes = (4, 5, 6)
+        lines = compare_baseline(
+            self._solver(sizes, sizes, enum_s=0.5),
+            self._solver(sizes, sizes, enum_s=1.0),
+        )
+        assert "solver.scaling_enum: 3000.0ms -> 1500.0ms (-50.0%)" in lines
+        assert not any("UNCOMPARABLE" in l for l in lines)
+
     def test_non_numeric_baseline_values_skipped(self):
         from repro.perf.bench import compare_baseline
 

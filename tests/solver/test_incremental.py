@@ -13,15 +13,29 @@ exactly, at every execution cap, resumed or cold.  Random programs
 machinery the warm instance is built on.
 """
 
+import pickle
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.events import Event, Execution
 from repro.core.executions import enumerate_sc_executions
 from repro.core.model import MODELS, _prepare
-from repro.litmus.library import get, scaled_mp
+from repro.core.races import race_signature
+from repro.litmus.corpus import load_corpus
+from repro.litmus.library import SCALED_KINDS, get, scaled_chain, scaled_mp
+from repro.obs.tracer import NULL_TRACER
 from repro.solver import SolverCapacityError, sat_enumeration
-from repro.solver.bridge import SharedCore, _LabelCollision, clear_core_memo
-from repro.solver.encode import erase_labels
+from repro.solver import bridge
+from repro.solver.bridge import (
+    SharedCore,
+    _LabelCollision,
+    _core_for,
+    _enumerate_sat,
+    clear_core_memo,
+)
+from repro.solver.encode import MAX_TRACES_PER_THREAD, erase_labels
 from repro.solver.sat import Solver
 
 from tests.solver.test_differential import small_programs
@@ -146,6 +160,151 @@ class TestWarmResume:
         # drf0/drf1 share a preparation; drfrlx adds quantum havoc, so at
         # most two distinct erased structures back the three models.
         assert 1 <= len(erased) <= 2
+
+
+def _fields(execution):
+    """Every field of an execution, events by value."""
+    return (
+        [
+            (e.eid, e.tid, e.kind, e.loc, e.value, e.label, e.po_index,
+             e.is_init)
+            for e in execution.events
+        ],
+        execution.order,
+        execution._rf_map,
+        execution._rmw_pairs,
+        execution._dep_edges,
+        execution.final_memory,
+        execution.final_registers,
+        execution.rmw_info,
+    )
+
+
+def _fresh_copy(execution):
+    """The same execution over newly built events."""
+    return Execution(
+        events=[
+            Event(e.eid, e.tid, e.kind, e.loc, e.value, e.label, e.po_index,
+                  e.is_init)
+            for e in execution.events
+        ],
+        order=execution.order,
+        rf_map=execution._rf_map,
+        rmw_pairs=execution._rmw_pairs,
+        dep_edges=execution._dep_edges,
+        final_memory=execution.final_memory,
+        final_registers=execution.final_registers,
+        rmw_info=execution.rmw_info,
+    )
+
+
+def assert_served_executions(program):
+    """Served executions equal a one-shot decode of the labeled program,
+    field by field, for every class and model; one core's events are
+    shared across models wherever their labels agree; and shared events
+    sign exactly like fresh ones."""
+    clear_core_memo()
+    by_core = {}  # erased structure -> [served enumeration per model]
+    for model in MODELS:
+        prepared = _prepare(program, model)
+        try:
+            served = sat_enumeration(
+                prepared, expand_registers=True, shared=True,
+            )
+        except SolverCapacityError:
+            return
+        one = _enumerate_sat(
+            prepared, None, True, MAX_TRACES_PER_THREAD, NULL_TRACER,
+        )
+        assert [_fields(e) for e in served.executions] == \
+            [_fields(e) for e in one.executions], f"{program.name}/{model}"
+        if served.solver_stats.shared:
+            by_core.setdefault(repr(erase_labels(prepared)), []).append(served)
+    for enumerations in by_core.values():
+        for a, b in zip(enumerations, enumerations[1:]):
+            for ex_a, ex_b in zip(a.executions, b.executions):
+                for ev_a, ev_b in zip(ex_a.events, ex_b.events):
+                    if ev_a.label is ev_b.label:
+                        assert ev_a is ev_b, (program.name, ev_a)
+                    else:
+                        assert ev_a is not ev_b
+    intern = {}
+    for enumerations in by_core.values():
+        for served in enumerations:
+            for execution in served.executions:
+                shared_sig = race_signature(execution, intern)
+                fresh_sig = race_signature(_fresh_copy(execution), intern)
+                assert shared_sig == fresh_sig, program.name
+
+
+class TestServedExecutions:
+    def test_corpus(self):
+        for entry in load_corpus():
+            assert_served_executions(entry.program)
+
+    def test_scaled_families(self):
+        for build in (scaled_mp, scaled_chain):
+            for n in (2, 3):
+                for kind in SCALED_KINDS.values():
+                    assert_served_executions(build(n, kind))
+
+    @given(small_programs())
+    @settings(max_examples=20, deadline=None)
+    def test_random_programs(self, program):
+        assert_served_executions(program)
+
+    def test_classes_share_events(self):
+        """Within one served enumeration, an event at the same T position
+        from the same instance is one object across classes."""
+        clear_core_memo()
+        served = sat_enumeration(_prepare(scaled_mp(3), "drf0"), shared=True)
+        first = {}
+        shared = 0
+        for execution in served.executions:
+            for event in execution.events:
+                key = (event.eid, event.tid, event.po_index, event.kind,
+                       event.loc, event.value, event.label)
+                seen = first.setdefault(key, event)
+                shared += seen is event
+        assert shared > len(first)
+
+
+class TestCoreMemo:
+    def _erased(self, program):
+        return erase_labels(_prepare(program, "drf0"))
+
+    def test_capacity_errors_stay_cached(self, monkeypatch):
+        """A grounding failure is memoized and re-raised on every hit.
+        The memo keeps a copy that is never raised, so it carries no
+        traceback pinning the frames of the call that failed."""
+        def fail(self, erased, max_traces):
+            raise SolverCapacityError("forced by test")
+
+        monkeypatch.setattr(SharedCore, "__init__", fail)
+        clear_core_memo()
+        erased = self._erased(MP)
+        for _ in range(3):
+            with pytest.raises(SolverCapacityError, match="forced by test"):
+                _core_for(erased, MAX_TRACES_PER_THREAD, None)
+        (memoized,) = bridge._CORE_MEMO.values()
+        assert isinstance(memoized, SolverCapacityError)
+        assert memoized.__traceback__ is None
+        clear_core_memo()
+
+    def test_pickled_core_drops_its_event_table(self):
+        """The perf.cache entry of an exhausted core carries the records
+        only; a loaded core rebuilds its events and serves identically."""
+        clear_core_memo()
+        prepared = _prepare(MP, "drf1")
+        core = _core_for(erase_labels(prepared), MAX_TRACES_PER_THREAD, None)
+        before = core.serve(prepared, None, True)
+        assert core.exhausted and core._events
+        loaded = pickle.loads(pickle.dumps(core))
+        assert loaded._events == {}
+        after = loaded.serve(prepared, None, True)
+        assert [_fields(e) for e in after.executions] == \
+            [_fields(e) for e in before.executions]
+        assert after.solver_stats.counters() == before.solver_stats.counters()
 
 
 class TestCollisionFallback:

@@ -23,6 +23,35 @@ def make_solver(n_vars, clauses):
     return solver
 
 
+def pigeonhole(pigeons, holes):
+    """PHP(pigeons, holes): every pigeon in some hole, no hole shared;
+    variable ``p * holes + h + 1`` puts pigeon p in hole h."""
+    var = lambda p, h: p * holes + h + 1
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                clauses.append([-var(p1, h), -var(p2, h)])
+    return clauses
+
+
+def random_cnfs(seed=20260808, count=300):
+    """(n_vars, clauses) for the randomized sweep: 1- to 3-literal
+    clauses over 3 to 8 variables, the same sequence for a given seed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_vars = rng.randint(3, 8)
+        n_clauses = rng.randint(2, 4 * n_vars)
+        clauses = []
+        for _ in range(n_clauses):
+            width = rng.randint(1, 3)
+            lits = rng.sample(range(1, n_vars + 1), width)
+            clauses.append([
+                lit if rng.random() < 0.5 else -lit for lit in lits
+            ])
+        yield n_vars, clauses
+
+
 def brute_force(n_vars, clauses):
     """Truth-table satisfiability — the oracle for the random sweep."""
     for bits in itertools.product((False, True), repeat=n_vars):
@@ -86,13 +115,7 @@ class TestCraftedCnfs:
         """PHP(holes+1, holes): provably unsat, and hard enough that the
         solver must learn clauses rather than stumble on the answer."""
         pigeons = holes + 1
-        var = lambda p, h: p * holes + h + 1
-        clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
-        for h in range(holes):
-            for p1 in range(pigeons):
-                for p2 in range(p1 + 1, pigeons):
-                    clauses.append([-var(p1, h), -var(p2, h)])
-        solver = make_solver(pigeons * holes, clauses)
+        solver = make_solver(pigeons * holes, pigeonhole(pigeons, holes))
         assert not solver.solve()
         if holes >= 3:
             assert solver.stats.conflicts > 0
@@ -100,12 +123,7 @@ class TestCraftedCnfs:
 
     def test_pigeonhole_sat_when_square(self):
         holes = 3
-        var = lambda p, h: p * holes + h + 1
-        clauses = [[var(p, h) for h in range(holes)] for p in range(holes)]
-        for h in range(holes):
-            for p1 in range(holes):
-                for p2 in range(p1 + 1, holes):
-                    clauses.append([-var(p1, h), -var(p2, h)])
+        clauses = pigeonhole(holes, holes)
         solver = make_solver(holes * holes, clauses)
         assert solver.solve()
         assert_model_satisfies(solver, clauses)
@@ -172,17 +190,7 @@ class TestAllSat:
 
 class TestRandomDifferential:
     def test_matches_brute_force_oracle(self):
-        rng = random.Random(20260808)
-        for _ in range(300):
-            n_vars = rng.randint(3, 8)
-            n_clauses = rng.randint(2, 4 * n_vars)
-            clauses = []
-            for _ in range(n_clauses):
-                width = rng.randint(1, 3)
-                lits = rng.sample(range(1, n_vars + 1), width)
-                clauses.append([
-                    lit if rng.random() < 0.5 else -lit for lit in lits
-                ])
+        for n_vars, clauses in random_cnfs():
             solver = make_solver(n_vars, clauses)
             expected = brute_force(n_vars, clauses)
             assert solver.solve() == expected, clauses
