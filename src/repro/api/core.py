@@ -130,7 +130,10 @@ def shard_request(
 
     Also validates the names the request refers to (litmus test,
     workloads) in the calling process, so ``not_found`` surfaces before
-    any worker is involved.
+    any worker is involved.  Every shard carries ``cache_root``, but
+    only sweep shards read it (each sweep cell is cached on its own);
+    check, batch and audit results are cached whole, as the request's
+    response, by :func:`execute_request`.
     """
     kind = normalized["kind"]
     if kind == "check":
@@ -256,7 +259,6 @@ def execute_check_shards(
             backend=options["backend"],
             dedup=options["dedup"],
             exhaustive=options["exhaustive"],
-            cache=shards[0]["cache_root"],
             tracer=tracer,
         )
 
@@ -290,7 +292,6 @@ def execute_shard(shard: Dict[str, Any]) -> Dict[str, Any]:
     byte-identical to direct API calls.
     """
     kind = shard["shard"]
-    cache = shard.get("cache_root")
     if kind == "check_model":
         return execute_check_shards([shard])[0]
     if kind == "batch_chunk":
@@ -304,7 +305,6 @@ def execute_shard(shard: Dict[str, Any]) -> Dict[str, Any]:
             models=models,
             engine=options["engine"],
             jobs=1,  # shards are the parallelism unit; amortize inside
-            cache=cache,
             max_executions=options["max_executions"],
             backend=options["backend"],
             dedup=options["dedup"],
@@ -330,7 +330,7 @@ def execute_shard(shard: Dict[str, Any]) -> Dict[str, Any]:
             scale=shard["scale"],
             engine=shard["engine"],
             jobs=1,
-            cache=cache,
+            cache=shard["cache_root"],
         )
         return {
             "workload": shard["workload"],
@@ -344,7 +344,7 @@ def execute_shard(shard: Dict[str, Any]) -> Dict[str, Any]:
 
         options = shard["options"]
         result = _audit_file(
-            (shard["path"], cache, options["backend"], options["dedup"],
+            (shard["path"], options["backend"], options["dedup"],
              options["engine"])
         )
         # solver_stats rides along only for sat-engine checks, so the

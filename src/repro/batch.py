@@ -1,11 +1,10 @@
 """Throughput-oriented bulk checking: ``check_many``.
 
 Checking N programs as N independent :func:`repro.core.model.check`
-calls pays program preparation, enumeration, classification, router
-dispatch, and cache-store traffic from scratch for every (program,
-model) cell.  A fuzzing campaign checks hundreds of structurally tiny
-programs across all three models, and almost all of that work is
-shared.  ``check_many`` runs each bin of programs through one
+calls pays program preparation, enumeration, classification and router
+dispatch from scratch for every (program, model) cell.  A fuzzing
+campaign checks hundreds of structurally tiny programs across all three
+models, and almost all of that work is shared.  ``check_many`` runs each bin of programs through one
 :class:`repro.core.model.Pipeline` — the same pipeline ``check`` runs
 one cell through — whose memos share it:
 
@@ -19,9 +18,10 @@ one cell through — whose memos share it:
 - **Classification coincides across models and programs.**  Race pools
   are memoized per race signature, so each execution shape is analyzed
   once per bin.
-- **Store traffic batches.**  One :class:`repro.perf.cache.BatchHandle`
-  per bin serves repeat reads from memory and flushes writes once,
-  instead of an open/encode/replace per check.
+
+Nothing here touches the on-disk result cache: a served ``batch``
+request caches its whole response (:mod:`repro.api.core`), never the
+enumerations behind it.
 
 ``check_many`` materializes the batch, predicts per-program cost with
 the :mod:`repro.solver.router` feature vector, packs cost-balanced bins
@@ -42,7 +42,6 @@ from repro.core.executions import static_step_bound
 from repro.core.model import ENGINES, MODELS, CheckResult, Pipeline
 from repro.litmus.program import Program
 from repro.obs.metrics import RUNTIME, metric
-from repro.perf.cache import BatchHandle, CacheSpec, ResultCache, resolve_cache
 from repro.perf.pool import parallel_map, resolve_jobs
 
 BATCH_CHECKS = metric(
@@ -96,9 +95,8 @@ def clear_batch_state() -> None:
 def _check_bin(task) -> List[Tuple[int, CheckResult]]:
     """Check one bin of (result slot, program) pairs against every
     model through one fresh pipeline; the pool worker entry point."""
-    items, models, options, cache_root = task
-    cache = BatchHandle(ResultCache(cache_root)) if cache_root is not None else None
-    pipeline = Pipeline(cache=cache, **options)
+    items, models, options = task
+    pipeline = Pipeline(**options)
     out: List[Tuple[int, CheckResult]] = []
     with _gc_paused():
         for count, (slot, program) in enumerate(items, 1):
@@ -106,8 +104,6 @@ def _check_bin(task) -> List[Tuple[int, CheckResult]]:
                 out.append((slot + offset, result))
             if count % _GC_EVERY == 0:
                 gc.collect(0)
-    if cache is not None:
-        cache.flush()
     RUNTIME.bump(BATCH_CHECKS, len(out))
     return out
 
@@ -157,7 +153,7 @@ def check_many(
     models: Sequence[str] = MODELS,
     engine: str = "enum",
     jobs: Optional[int] = None,
-    cache: CacheSpec = None,
+    cache=None,
     max_executions: Optional[int] = None,
     max_witnesses: int = 32,
     naive: bool = False,
@@ -172,7 +168,8 @@ def check_many(
     :func:`repro.core.model.check` per cell with the same options.
     ``jobs`` follows :func:`repro.perf.pool.resolve_jobs`; with one
     worker the whole batch is one bin checked in-process, with more the
-    bins go to the warm executor.
+    bins go to the warm executor.  ``cache`` is accepted and ignored
+    (see the module docstring).
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -191,8 +188,6 @@ def check_many(
         "dedup": dedup,
         "exhaustive": exhaustive,
     }
-    base = resolve_cache(cache)
-    cache_root = base.root if base is not None else None
     stride = len(models)
     n_jobs = resolve_jobs(jobs, n_tasks=len(programs))
     # Bins carry (result slot, program); slots are model-strided so the
@@ -200,7 +195,7 @@ def check_many(
     bins = [list(enumerate(programs))] if n_jobs <= 1 else _pack_bins(programs, n_jobs)
     tasks = [
         ([(pos * stride, program) for pos, program in bin_],
-         tuple(models), options, cache_root)
+         tuple(models), options)
         for bin_ in bins
     ]
     if n_jobs <= 1:

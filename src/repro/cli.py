@@ -60,7 +60,7 @@ def _shared_flags(
     )
     shared.add_argument(
         "--cache", dest="cache", action="store_true", default=None,
-        help="serve repeated sweep/enumeration results from the on-disk "
+        help="serve repeated responses and sweep cells from the on-disk "
              "result cache (default: on for figures/audit; the directory "
              "is REPRO_CACHE_DIR, else ~/.cache/repro)",
     )

@@ -1039,76 +1039,24 @@ def enumerate_sc_executions(
     ``tracer`` records one event per search step / POR prune / memo hit
     / distinct execution ("cycle" is the step count); the default is the
     no-op tracer.
-    ``cache`` is a :data:`repro.perf.cache.CacheSpec`: ``None`` consults
-    the ``REPRO_CACHE`` environment variable (default off), ``True``/a
-    path/a :class:`~repro.perf.cache.ResultCache` enable a persistent
-    result cache keyed on the program text, the enumeration arguments
-    and a fingerprint of the ``repro.core``/``repro.litmus`` sources.
-    Tracing bypasses the cache (a cached result has no events to emit).
+    ``cache`` is accepted and ignored: enumerations are not cached on
+    disk (only results are; see :mod:`repro.perf.cache`).
     ``backend`` stamps the relation backend on every returned execution
     (see :mod:`repro.core.relations`); it does not affect the execution
-    set or the cache key, and is applied to cached results as well.
+    set.
     """
-    # Fast path: under engine defaults with no cache, tracer, or backend
-    # stamping, naive programs and small-program-gated ones go straight
-    # to the naive interleaver.  This is the hot loop of tiny litmus
-    # checks; routing them here costs one memoized-bound lookup and no
-    # allocations, so the gated default path times identically to an
-    # explicit ``naive=True`` call (the sub-1.0x per-program entries in
-    # earlier bench records were exactly this dispatch overhead).
-    if (
-        cache is None
-        and backend is None
-        and (tracer is None or not tracer.enabled)
-        and (
-            naive
-            or (memo is None and static_step_bound(program) <= SMALL_PROGRAM_STEPS)
-        )
-    ):
-        return _enumerate_naive(
-            program, max_executions,
-            tracer=tracer if tracer is not None else NULL_TRACER,
-        )
-
     tracer = tracer if tracer is not None else NULL_TRACER
-
-    store = None
-    if cache is not None and not tracer.enabled:
-        from repro.perf.cache import ENUM_CODE_PACKAGES, code_fingerprint, resolve_cache
-
-        store = resolve_cache(cache)
-        if store is not None:
-            key = store.key(
-                "enumeration",
-                {
-                    "program": repr(program),
-                    "max_executions": max_executions,
-                    "naive": naive,
-                    "memo": memo,
-                    "code": code_fingerprint(ENUM_CODE_PACKAGES),
-                },
-            )
-            found, value = store.get(key, codec="pickle")
-            if found and isinstance(value, SCEnumeration):
-                if backend is not None:
-                    for ex in value.executions:
-                        ex.set_backend(backend)
-                return value
-
-    if naive:
-        result = _enumerate_naive(program, max_executions, tracer=tracer)
-    elif memo is None and static_step_bound(program) <= SMALL_PROGRAM_STEPS:
-        # Engine defaults only: a caller forcing ``memo`` has asked for
-        # the reduction machinery and gets it regardless of size.  Both
-        # engines produce the same execution set (the bench asserts it),
-        # so the gate is invisible except in wall clock.
+    if naive or (memo is None and static_step_bound(program) <= SMALL_PROGRAM_STEPS):
+        # The small-program gate applies under engine defaults only: a
+        # caller forcing ``memo`` has asked for the reduction machinery
+        # and gets it regardless of size.  Both engines produce the same
+        # execution set (the bench asserts it), so the gate is invisible
+        # except in wall clock.
         result = _enumerate_naive(program, max_executions, tracer=tracer)
     else:
         result = _enumerate_por(
             program, max_executions, memo_enabled=memo, tracer=tracer
         )
-    if store is not None:
-        store.put(key, result, codec="pickle")
     if backend is not None:
         for ex in result.executions:
             ex.set_backend(backend)

@@ -385,7 +385,6 @@ class Pipeline:
         backend: Optional[str] = None,
         dedup: bool = True,
         exhaustive: bool = True,
-        cache=None,
         tracer=None,
     ) -> None:
         if engine not in ENGINES:
@@ -397,7 +396,6 @@ class Pipeline:
         self.backend = backend
         self.dedup = dedup
         self.exhaustive = exhaustive
-        self.cache = cache
         self.tracer = tracer
         #: (structure key, model) -> (prepared program, prepared key)
         self.prepared: Dict[Tuple, Tuple[Program, Tuple]] = {}
@@ -429,7 +427,7 @@ class Pipeline:
         prepared = _prepare(program, model)
         enumeration = enumerate_sc_executions(
             prepared, max_executions=self.max_executions, naive=True,
-            cache=self.cache, tracer=self.tracer,
+            tracer=self.tracer,
         )
         record_resolution("check_engine", "enum")
         classified = classify_enumeration(
@@ -455,8 +453,7 @@ class Pipeline:
             base = self.base_enums.get(structure)
             if base is None:
                 base = self.base_enums[structure] = enumerate_sc_executions(
-                    program, max_executions=self.max_executions,
-                    cache=self.cache,
+                    program, max_executions=self.max_executions
                 )
             else:
                 RUNTIME.bump(ENUM_SHARED)
@@ -517,13 +514,12 @@ class Pipeline:
             try:
                 return sat_enumeration(
                     prepared, max_executions=self.max_executions,
-                    cache=self.cache, tracer=self.tracer,
+                    tracer=self.tracer,
                 ), "sat"
             except SolverCapacityError:
                 pass  # fall back to the explicit enumerator
         return enumerate_sc_executions(
-            prepared, max_executions=self.max_executions, cache=self.cache,
-            tracer=self.tracer,
+            prepared, max_executions=self.max_executions, tracer=self.tracer,
         ), "enum"
 
     def _classify(self, enumeration: SCEnumeration, model: str,
@@ -631,9 +627,8 @@ def check(
     ``max_witnesses`` caps how many race witnesses are retained;
     legality is still decided over all executions explored.
     ``naive=True`` runs the oracle: the unreduced enumeration engine and
-    the unshared classifier.  ``cache`` (a
-    :data:`repro.perf.cache.CacheSpec`) memoizes the enumeration on
-    disk, keyed by the enumerated program and the enumerator sources.
+    the unshared classifier.  ``cache`` is accepted and ignored: only
+    whole responses are cached on disk (see :func:`repro.api.check_program`).
 
     ``backend`` picks the relation representation (``"dense"`` bitsets,
     ``"pairs"`` frozensets, ``None``/``"auto"`` chooses); ``dedup``
@@ -662,7 +657,7 @@ def check(
     pipeline = Pipeline(
         engine=engine, naive=naive, max_executions=max_executions,
         max_witnesses=max_witnesses, backend=backend, dedup=dedup,
-        exhaustive=exhaustive, cache=cache, tracer=tracer,
+        exhaustive=exhaustive, tracer=tracer,
     )
     return pipeline.check_models(program, (model,))[0]
 

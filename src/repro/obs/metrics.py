@@ -93,10 +93,10 @@ DENOVO_WRITEBACKS = metric(
     "denovo_writebacks", "l2", doc="registered-line writebacks on eviction (DeNovo)"
 )
 CACHE_HIT = metric(
-    "result_cache_hit", "cache", doc="sweep/enumeration cells served from the result cache"
+    "result_cache_hit", "cache", doc="sweep cells served from the result cache"
 )
 CACHE_MISS = metric(
-    "result_cache_miss", "cache", doc="sweep/enumeration cells computed and stored"
+    "result_cache_miss", "cache", doc="sweep cells computed and stored"
 )
 SERVE_REQUEST = metric(
     "serve_request", "serve", unit="requests",

@@ -3,9 +3,9 @@
 - :mod:`repro.perf.pool` — process-pool fan-out with chunked dispatch,
   a reused warm executor, probe-based serial fallback and deterministic
   ordering (``REPRO_JOBS`` env override).
-- :mod:`repro.perf.cache` — persistent content-addressed result cache
-  for sweep cells and enumerations (``REPRO_CACHE_DIR`` env override;
-  entries self-invalidate when the simulated sources change).
+- :mod:`repro.perf.cache` — persistent content-addressed JSON cache of
+  API responses and sweep cells (``REPRO_CACHE_DIR`` env override;
+  entries self-invalidate when the sources that compute them change).
 - :mod:`repro.perf.audit` — parallel verdict audit of the litmus corpus.
 - :mod:`repro.perf.bench` — the benchmark/regression harness
   (``python -m repro bench``); writes ``BENCH_<date>.json``.

@@ -6,9 +6,10 @@ classification for each declared model) out over a process pool.  Each
 worker re-reads its file from disk, so only the path crosses the process
 boundary.
 
-Used as a fast end-to-end regression sweep (``python -m
-repro.perf.audit``) and by :mod:`repro.perf.bench` as a realistic
-checker-heavy parallel workload.
+Each file is one shard of the v1 ``audit`` request (``python -m repro
+audit``).  Nothing here touches the on-disk result cache: a repeated
+audit is answered by the request's cached response
+(:mod:`repro.api.core`), never by cached enumerations.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Dict, Optional, Tuple
 from repro.core.model import Pipeline
 from repro.litmus.corpus import CORPUS_DIR, _parse_expectations
 from repro.litmus.dsl import parse
-from repro.perf.cache import CacheSpec, resolve_cache
 from repro.perf.pool import parallel_map
 
 
@@ -44,20 +44,15 @@ class AuditResult:
         return all(exp == act for exp, act, _ in self.verdicts.values())
 
 
-def _audit_file(
-    task: Tuple[str, Optional[str], Optional[str], bool, str]
-) -> AuditResult:
+def _audit_file(task: Tuple[str, Optional[str], bool, str]) -> AuditResult:
     """Worker: parse one corpus file and check every declared model.
 
-    The second task element is a result-cache root (or None): workers
-    open their own :class:`~repro.perf.cache.ResultCache` on it so the
-    per-program enumerations are memoized across runs.  The remaining
-    elements carry the relation ``backend``, ``dedup`` and checking
-    ``engine`` flags.  One :class:`repro.core.model.Pipeline` checks
-    every declared model, so the models share one enumeration.
+    The task is the file path plus the relation ``backend``, ``dedup``
+    and checking ``engine`` flags.  One
+    :class:`repro.core.model.Pipeline` checks every declared model, so
+    the models share one enumeration.
     """
-    path, cache_root, backend, dedup, engine = task
-    cache = resolve_cache(cache_root) if cache_root is not None else None
+    path, backend, dedup, engine = task
     with open(path) as handle:
         text = handle.read()
     program = parse(text)
@@ -65,7 +60,7 @@ def _audit_file(
     engines: Dict[str, str] = {}
     solver_stats: Dict[str, Dict[str, int]] = {}
     expected = sorted(_parse_expectations(text).items())
-    pipeline = Pipeline(cache=cache, backend=backend, dedup=dedup, engine=engine)
+    pipeline = Pipeline(backend=backend, dedup=dedup, engine=engine)
     results = pipeline.check_models(program, [model for model, _ in expected])
     for (model, (legal, _kinds)), result in zip(expected, results):
         verdicts[model] = (legal, result.legal, result.race_kinds)
@@ -80,25 +75,20 @@ def _audit_file(
 def audit_corpus(
     directory: str = CORPUS_DIR,
     jobs: Optional[int] = None,
-    cache: CacheSpec = None,
     backend: Optional[str] = None,
     dedup: bool = True,
     engine: str = "enum",
 ) -> Tuple[AuditResult, ...]:
     """Audit every corpus file; results in sorted-filename order.
 
-    ``cache`` memoizes each file's per-model enumerations on disk (see
-    :mod:`repro.perf.cache`); only its directory crosses the process
-    boundary.  ``backend``/``dedup`` select the relation backend and
+    ``backend``/``dedup`` select the relation backend and
     execution-class deduplication for every check, and ``engine`` the
     checking engine (the verdicts are identical in all combinations;
     these are perf knobs).  Each result records the engine that actually
     ran per model in :attr:`AuditResult.engines`.
     """
-    store = resolve_cache(cache)
-    root = store.root if store is not None else None
     tasks = [
-        (os.path.join(directory, filename), root, backend, dedup, engine)
+        (os.path.join(directory, filename), backend, dedup, engine)
         for filename in sorted(os.listdir(directory))
         if filename.endswith(".litmus")
     ]

@@ -8,7 +8,7 @@ oracle (the ``relcheck`` section) — (3) a scaled Figure-3 sweep —
 serial vs process-pool parallel — (4) the trace-compiled and
 numpy-vectorized simulator engines vs the reference interpreter on a
 cold sweep — (5) the result cache — cold (populating) vs fully warm
-sweep and corpus enumerations, in a throwaway cache directory — and (6)
+sweep, in a throwaway cache directory — and (6)
 the observability layer's overhead — untraced vs no-op tracer vs fully
 enabled tracer on one simulation — and writes a ``BENCH_<date>.json``
 record so future PRs have a perf trajectory to compare against.
@@ -242,8 +242,7 @@ def bench_cache(
     Runs in a throwaway cache directory so the numbers measure this
     process's work, not whatever ``~/.cache/repro`` happens to hold, and
     verifies the cached CSVs are byte-identical to an uncached run.
-    Also times the corpus enumerations cold vs warm through the same
-    cache.  Target: the warm sweep is >=10x faster than cold.
+    Target: the warm sweep is >=10x faster than cold.
     """
     import tempfile
 
@@ -262,23 +261,6 @@ def bench_cache(
         if not identical:
             raise AssertionError("cached sweep CSVs differ from uncached")
 
-        programs = _corpus_programs()
-        t0 = time.perf_counter()
-        cold_enums = [
-            enumerate_sc_executions(p, cache=root) for _, p in programs
-        ]
-        wall_enum_cold = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        warm_enums = [
-            enumerate_sc_executions(p, cache=root) for _, p in programs
-        ]
-        wall_enum_warm = time.perf_counter() - t0
-        for (name, _), a, b in zip(programs, cold_enums, warm_enums):
-            if {e.canonical_key() for e in a.executions} != {
-                e.canonical_key() for e in b.executions
-            }:
-                raise AssertionError(f"cached enumeration differs on {name}")
-
     return {
         "workloads": list(names),
         "scale": scale,
@@ -290,14 +272,6 @@ def bench_cache(
         "speedup": wall_cold / wall_warm if wall_warm > 0 else float("inf"),
         "target_speedup": 10.0,
         "csv_identical": identical,
-        "enum_programs": len(programs),
-        "wall_s_enum_cold": wall_enum_cold,
-        "wall_s_enum_warm": wall_enum_warm,
-        "enum_speedup": (
-            wall_enum_cold / wall_enum_warm
-            if wall_enum_warm > 0
-            else float("inf")
-        ),
     }
 
 
@@ -1519,7 +1493,6 @@ def summarize(record: Dict) -> str:
             f"{cache['wall_s_cold']:.2f}s cold -> "
             f"{cache['wall_s_warm']:.3f}s warm "
             f"({cache['speedup']:.1f}x, target >={cache['target_speedup']:.0f}x; "
-            f"enum {cache['enum_speedup']:.1f}x; "
             f"csv identical: {cache['csv_identical']})"
         )
     tracing = record.get("tracing")

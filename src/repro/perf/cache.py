@@ -1,25 +1,34 @@
-"""Persistent, content-addressed result cache for simulations and
-enumerations.
+"""Persistent, content-addressed cache of results: API responses and
+sweep cells.
 
 Full Figure 3/4 sweeps re-simulate every (workload, configuration) cell
-on every ``python -m repro figures``/``bench``/``audit`` invocation even
-when nothing changed.  :class:`ResultCache` memoizes those results on
-disk, keyed by a stable hash of *everything the result depends on*:
+on every ``python -m repro figures``/``bench`` invocation even when
+nothing changed, and a service answers the same request many times.
+:class:`ResultCache` memoizes those results on disk, keyed by a stable
+hash of *everything the result depends on*:
 
-- the simulation inputs (workload name, parameters, scale,
-  :class:`~repro.sim.config.SystemConfig` fields, energy model fields),
+- the inputs (a normalized v1 request; or a sweep cell's workload name,
+  parameters, scale, :class:`~repro.sim.config.SystemConfig` fields and
+  energy model fields),
 - and a **code fingerprint** — a hash over the source files of the
   packages that compute the result (``repro.sim``, ``repro.energy``,
-  ``repro.workloads`` for sweeps; ``repro.core``, ``repro.litmus`` for
-  enumerations) — so every entry self-invalidates the moment any
-  simulated source changes.
+  ``repro.workloads`` for sweep cells; see
+  :data:`repro.api.core.CHECK_CODE_PACKAGES` for check, batch and audit
+  responses) — so every entry self-invalidates the moment any relevant
+  source changes.
+
+Only results are cached, never intermediate structures: an enumeration
+or a solver core is rebuilt on a miss, and an in-process memo
+(:mod:`repro.solver.bridge`) shares cores within a process.
 
 Entries live under ``~/.cache/repro`` by default (override with the
 ``REPRO_CACHE_DIR`` environment variable), one file per key, named by
 the key hash (content-addressed: equal inputs collide on the same file,
-different inputs cannot).  Values are stored as JSON where possible and
-pickle otherwise; both carry a ``schema_version`` that is part of the
-key, so a format change orphans old entries instead of misreading them.
+different inputs cannot).  Every value is stored as JSON, so reading an
+entry never runs code.  Records carry a ``schema_version`` that is part
+of the key, so a format change orphans old entries instead of
+misreading them; orphaned ``.pkl`` entries from older versions are
+never opened, only counted and removed by :meth:`ResultCache.clear`.
 
 Robustness rules:
 
@@ -29,7 +38,7 @@ Robustness rules:
 - **Corruption is a miss** — any unreadable, truncated, or garbage
   entry (e.g. from a crash mid-write on a filesystem without atomic
   rename) is treated as a cache miss and overwritten; it never
-  propagates an exception into the sweep.
+  propagates an exception into the caller.
 
 The cache is safe to share between concurrent processes: readers only
 see complete files, and concurrent writers of the same key write the
@@ -42,7 +51,6 @@ import hashlib
 import importlib
 import json
 import os
-import pickle
 import tempfile
 from functools import lru_cache
 from typing import Any, Iterable, Optional, Tuple, Union
@@ -62,13 +70,11 @@ SCHEMA_VERSION = 1
 #: Packages whose sources determine a sweep cell's result.
 SWEEP_CODE_PACKAGES = ("repro.sim", "repro.energy", "repro.workloads")
 
-#: Packages whose sources determine an enumeration result.
-ENUM_CODE_PACKAGES = ("repro.core", "repro.litmus")
-
-#: Packages whose sources determine a solver-backed enumeration result
-#: (the SAT engine reuses the core interpreter and the litmus AST, so
-#: those fingerprints ride along with ``repro.solver`` itself).
-SOLVER_CODE_PACKAGES = ("repro.core", "repro.litmus", "repro.solver")
+#: Entry-file suffixes :meth:`ResultCache.clear` and
+#: :meth:`ResultCache.entry_count` see.  ``.pkl`` files are orphans of
+#: older versions, which also stored enumerations and solver cores in
+#: a binary codec; nothing opens them.
+_ENTRY_SUFFIXES = (".json", ".pkl")
 
 
 def default_cache_dir() -> str:
@@ -148,21 +154,16 @@ class ResultCache:
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def _path(self, key: str, codec: str) -> str:
-        ext = "json" if codec == "json" else "pkl"
-        return os.path.join(self.root, key[:2], f"{key}.{ext}")
+    def _path(self, key: str) -> str:
+        return os.path.join(self.root, key[:2], f"{key}.json")
 
     # -- lookup / insert -------------------------------------------------------
-    def get(self, key: str, codec: str = "json") -> Tuple[bool, Any]:
+    def get(self, key: str) -> Tuple[bool, Any]:
         """``(hit, value)``.  Corrupted or truncated entries are a miss."""
-        path = self._path(key, codec)
+        path = self._path(key)
         try:
-            if codec == "json":
-                with open(path, "r") as handle:
-                    record = json.load(handle)
-            else:
-                with open(path, "rb") as handle:
-                    record = pickle.load(handle)
+            with open(path, "r") as handle:
+                record = json.load(handle)
             if (
                 not isinstance(record, dict)
                 or record.get("schema_version") != SCHEMA_VERSION
@@ -184,14 +185,23 @@ class ResultCache:
         self.hits += 1
         return True, record["value"]
 
-    def put(self, key: str, value: Any, codec: str = "json") -> str:
-        """Atomically store *value* under *key*; returns the entry path."""
-        path = self._path(key, codec)
+    def put(self, key: str, value: Any) -> str:
+        """Atomically store *value* under *key*; returns the entry path.
+
+        The record is encoded to one string and written in one call:
+        ``json.dump`` on a file handle issues a write per encoder chunk,
+        several times the cost on a 100 KB batch response, for the same
+        bytes.
+        """
+        path = self._path(key)
         directory = os.path.dirname(path)
         if directory not in self._dirs_ensured:
             os.makedirs(directory, exist_ok=True)
             self._dirs_ensured.add(directory)
-        record = {"schema_version": SCHEMA_VERSION, "value": value}
+        data = json.dumps(
+            {"schema_version": SCHEMA_VERSION, "value": value},
+            separators=(",", ":"),
+        ).encode()
         try:
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         except FileNotFoundError:
@@ -200,12 +210,8 @@ class ResultCache:
             os.makedirs(directory, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         try:
-            if codec == "json":
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(record, handle, separators=(",", ":"))
-            else:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(record, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -224,7 +230,7 @@ class ResultCache:
             return 0
         for dirpath, _dirnames, filenames in os.walk(self.root):
             for filename in filenames:
-                if filename.endswith((".json", ".pkl", ".part")):
+                if filename.endswith(_ENTRY_SUFFIXES + (".part",)):
                     try:
                         os.unlink(os.path.join(dirpath, filename))
                         removed += 1
@@ -237,79 +243,13 @@ class ResultCache:
         if not os.path.isdir(self.root):
             return 0
         for _dirpath, _dirnames, filenames in os.walk(self.root):
-            count += sum(f.endswith((".json", ".pkl")) for f in filenames)
+            count += sum(f.endswith(_ENTRY_SUFFIXES) for f in filenames)
         return count
 
     def __repr__(self) -> str:
         return (
             f"ResultCache({self.root!r}, hits={self.hits}, "
             f"misses={self.misses}, stores={self.stores})"
-        )
-
-
-class BatchHandle(ResultCache):
-    """An in-memory read-through / write-back layer over a cache store.
-
-    Bulk checking (:mod:`repro.batch`) runs hundreds of checks per
-    worker; routing each one's cache traffic straight to disk pays an
-    open/encode/replace per entry.  A ``BatchHandle`` keeps every value
-    it sees in process memory (raw objects, no pickling), serves repeat
-    reads from there, and queues writes until :meth:`flush` — called
-    once per bin — pushes them to the backing store in one pass.  A
-    handle lives as long as its bin.
-
-    ``BatchHandle`` subclasses :class:`ResultCache` so the existing
-    ``cache=`` plumbing (:func:`resolve_cache` passes instances through
-    unchanged) accepts it everywhere a cache is accepted.  With no
-    ``base`` store it acts as a purely in-memory memo — useful for
-    cross-model sharing within a batch even when disk caching is off.
-    """
-
-    def __init__(self, base: Optional[ResultCache] = None):
-        root = base.root if base is not None else default_cache_dir()
-        super().__init__(root)
-        self.base = base
-        self._memory: dict = {}
-        self._pending: dict = {}
-
-    def get(self, key: str, codec: str = "json") -> Tuple[bool, Any]:
-        entry = (key, codec)
-        if entry in self._memory:
-            self.hits += 1
-            return True, self._memory[entry]
-        if self.base is not None:
-            hit, value = self.base.get(key, codec)
-            if hit:
-                self._memory[entry] = value
-                self.hits += 1
-                return True, value
-        self.misses += 1
-        return False, None
-
-    def put(self, key: str, value: Any, codec: str = "json") -> str:
-        entry = (key, codec)
-        self._memory[entry] = value
-        if self.base is not None:
-            self._pending[entry] = value
-        self.stores += 1
-        return self._path(key, codec)
-
-    def flush(self) -> int:
-        """Write queued entries to the backing store; returns the count."""
-        pending, self._pending = self._pending, {}
-        for (key, codec), value in pending.items():
-            try:
-                self.base.put(key, value, codec)
-            except Exception:
-                # A full disk or unwritable store must not fail the batch;
-                # the values are still served from memory.
-                pass
-        return len(pending)
-
-    def __repr__(self) -> str:
-        return (
-            f"BatchHandle(base={self.base!r}, entries={len(self._memory)}, "
-            f"pending={len(self._pending)})"
         )
 
 

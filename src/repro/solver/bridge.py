@@ -547,10 +547,8 @@ class SharedCore:
     where a capped one-shot run stopped.
 
     Once exhausted the encoding and solver are dropped (``enc = None``)
-    — the records alone serve any cap — which also makes an exhausted
-    core a plain picklable value for the ``perf.cache`` entry.  The
-    event table grows with the records and dies with the core; it is
-    left out of the pickle (a loaded core rebuilds it as it serves).
+    — the records alone serve any cap.  The event table grows with the
+    records and dies with the core.
     """
 
     def __init__(self, erased: Program, max_traces: int = MAX_TRACES_PER_THREAD):
@@ -566,14 +564,8 @@ class SharedCore:
         self.final_stats: Optional[SatStats] = None
         self.final_solve_s = 0.0
         self._solve_s = 0.0
-        self._stored = False  # already persisted to a perf.cache store
         #: (eid, gid, label) -> the one Event served for it
         self._events: Dict[Tuple, Event] = {}
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_events"] = {}
-        return state
 
     def ensure(self, cap: int) -> None:
         """Enumerate classes until *cap* are recorded or UNSAT."""
@@ -697,33 +689,13 @@ def _memo_put(key: Tuple[str, int], value: object) -> None:
     _CORE_MEMO[key] = value
 
 
-def _core_key(store, program_repr: str, max_traces: int):
-    from repro.perf.cache import SOLVER_CODE_PACKAGES, code_fingerprint
-
-    return store.key(
-        "solver_core",
-        {
-            "program": program_repr,
-            "max_traces": max_traces,
-            "code": code_fingerprint(SOLVER_CODE_PACKAGES),
-        },
-    )
-
-
-def _core_for(erased: Program, max_traces: int, store) -> SharedCore:
+def _core_for(erased: Program, max_traces: int) -> SharedCore:
     key = (repr(erased), max_traces)
     hit = _CORE_MEMO.get(key)
     if isinstance(hit, SolverCapacityError):
         raise SolverCapacityError(*hit.args)
     if isinstance(hit, SharedCore):
         return hit
-    if store is not None:
-        found, value = store.get(
-            _core_key(store, key[0], max_traces), codec="pickle"
-        )
-        if found and isinstance(value, SharedCore) and value.exhausted:
-            _memo_put(key, value)
-            return value
     try:
         core = SharedCore(erased, max_traces)
     except SolverCapacityError as exc:
@@ -751,10 +723,9 @@ def sat_enumeration(
     by the same ``classify_enumeration``), with the counting differences
     described in the module docstring.  Raises
     :class:`SolverCapacityError` when grounding exceeds the caps —
-    callers fall back to the explicit enumerator.  ``cache`` works like
-    the enumerator's: a :data:`repro.perf.cache.CacheSpec` keyed on the
-    program text, the arguments and a fingerprint of the
-    ``repro.core``/``repro.litmus``/``repro.solver`` sources.
+    callers fall back to the explicit enumerator.  ``cache`` is accepted
+    and ignored: neither enumerations nor cores are cached on disk (only
+    results are; see :mod:`repro.perf.cache`).
 
     ``shared=True`` (the default) serves from the label-erased
     :class:`SharedCore` memo, so checking one program against all three
@@ -767,46 +738,15 @@ def sat_enumeration(
     if tracer.enabled:
         shared = False
 
-    store = key = None
-    if cache is not None and not tracer.enabled:
-        from repro.perf.cache import (
-            SOLVER_CODE_PACKAGES, code_fingerprint, resolve_cache,
-        )
-
-        store = resolve_cache(cache)
-        if store is not None:
-            key = store.key(
-                "sat_enumeration",
-                {
-                    "program": repr(program),
-                    "max_executions": max_executions,
-                    "expand_registers": expand_registers,
-                    "shared": shared,
-                    "code": code_fingerprint(SOLVER_CODE_PACKAGES),
-                },
-            )
-            found, value = store.get(key, codec="pickle")
-            if found and isinstance(value, SCEnumeration):
-                return value
-
     result: Optional[SCEnumeration] = None
     if shared:
-        core = _core_for(erase_labels(program), max_traces, store)
+        core = _core_for(erase_labels(program), max_traces)
         try:
             result = core.serve(program, max_executions, expand_registers)
         except _LabelCollision:
-            result = None  # sound fallback: one-shot labeled encoding
-        if result is not None and store is not None and core.exhausted \
-                and not core._stored:
-            core._stored = True
-            store.put(
-                _core_key(store, repr(core.program), max_traces),
-                core, codec="pickle",
-            )
+            pass  # sound fallback: one-shot labeled encoding
     if result is None:
         result = _enumerate_sat(
             program, max_executions, expand_registers, max_traces, tracer
         )
-    if store is not None:
-        store.put(key, result, codec="pickle")
     return result

@@ -88,8 +88,9 @@ def test_pipeline_call_matches_per_shard_composition(engine, models, exhaustive)
 
 
 def test_cached_pipeline_call_matches_per_shard_composition(tmp_path):
-    # Grouped and per-model tasks write enumerations under one cache
-    # root; each path is run cold against its own root, then warm.
+    # The grouped call caches its whole response; the per-shard
+    # composition runs under its own root.  The grouped path is run
+    # cold, then warm from the response entry.
     for source in SOURCES[:20]:
         normalized = _normalized(source, ALL_MODELS)
         reference = encode(_per_shard(normalized, str(tmp_path / "shards")))

@@ -2,11 +2,17 @@
 
 import dataclasses
 import glob
+import io
+import json
 import os
+import pickle
 
 import pytest
 
-from repro.core.executions import SCEnumeration, enumerate_sc_executions
+import repro.api.core as api_core
+import repro.perf.cache as cache_mod
+from repro.api import check_batch, check_program, encode
+from repro.core.executions import enumerate_sc_executions
 from repro.energy.model import DEFAULT_ENERGY_MODEL
 from repro.eval.harness import _cell_key
 from repro.litmus.library import get as get_litmus
@@ -14,7 +20,6 @@ from repro.obs.tracer import Tracer
 from repro.perf.cache import (
     CACHE_DIR_ENV,
     CACHE_ENV,
-    BatchHandle,
     ResultCache,
     code_fingerprint,
     default_cache_dir,
@@ -28,11 +33,26 @@ def store(tmp_path):
     return ResultCache(str(tmp_path / "cache"))
 
 
-def _entry_files(store):
+def _files(store, suffix):
     return sorted(
-        glob.glob(os.path.join(store.root, "**", "*.json"), recursive=True)
-        + glob.glob(os.path.join(store.root, "**", "*.pkl"), recursive=True)
+        glob.glob(os.path.join(store.root, "**", f"*{suffix}"), recursive=True)
     )
+
+
+#: Loads of the trap pickle below; a cache read must never add one.
+_TRAP_LOADS = []
+
+
+def _spring_trap():
+    _TRAP_LOADS.append(1)
+    return {"schema_version": 1, "value": "from the trap"}
+
+
+class _Trap:
+    """Pickles to a payload whose load calls :func:`_spring_trap`."""
+
+    def __reduce__(self):
+        return (_spring_trap, ())
 
 
 class TestRoundTrip:
@@ -44,10 +64,17 @@ class TestRoundTrip:
         assert hit and value == {"cycles": 123.25, "energy_nj": {"l1": 0.5}}
         assert (store.hits, store.misses, store.stores) == (1, 1, 1)
 
-    def test_pickle_round_trip(self, store):
-        key = store.key("unit", {"b": 2})
-        store.put(key, ("tuple", frozenset({1, 2})), codec="pickle")
-        assert store.get(key, codec="pickle") == (True, ("tuple", frozenset({1, 2})))
+    def test_entry_is_one_compact_json_record(self, store):
+        """``put`` encodes the record once; the bytes are exactly what
+        ``json.dump`` streams to a file handle."""
+        value = {"b": [1, 2.5, "x"], "nested": {"k": None}}
+        path = store.put(store.key("unit", "compact"), value)
+        expected = io.StringIO()
+        json.dump({"schema_version": 1, "value": value}, expected,
+                  separators=(",", ":"))
+        with open(path, "rb") as handle:
+            assert handle.read() == expected.getvalue().encode()
+        assert path.endswith(".json")
 
     def test_float_values_byte_identical(self, store):
         """JSON float repr round-trips exactly, so cached observations
@@ -109,7 +136,7 @@ class TestKeyInvalidation:
         assert a != b
 
     def test_kind_partitions_keys(self, store):
-        assert store.key("sweep_cell", {"x": 1}) != store.key("enumeration", {"x": 1})
+        assert store.key("sweep_cell", {"x": 1}) != store.key("api_request", {"x": 1})
 
 
 class TestCodeFingerprint:
@@ -131,51 +158,43 @@ class TestCodeFingerprint:
 
 
 class TestSolverFingerprint:
-    """Satellite: the solver sources are a cache-key ingredient, so
-    editing any fingerprinted module invalidates cached check results
-    end-to-end (stale enumerations can never satisfy a check)."""
+    """The solver sources are a cache-key ingredient, so editing any
+    fingerprinted module invalidates cached check responses end to end
+    (a stale response can never answer a check)."""
 
     def test_solver_package_is_fingerprinted(self):
-        from repro.perf.cache import ENUM_CODE_PACKAGES, SOLVER_CODE_PACKAGES
-
-        assert "repro.solver" in SOLVER_CODE_PACKAGES
-        # A sat enumeration depends on everything the enumerator's does
-        # (program preparation, relabeling) plus the solver itself.
-        assert set(ENUM_CODE_PACKAGES) <= set(SOLVER_CODE_PACKAGES)
+        packages = set(api_core.CHECK_CODE_PACKAGES)
+        # A check depends on program preparation and relabeling, the
+        # enumerator, the payload encoding, and the solver itself.
+        assert {"repro.core", "repro.litmus", "repro.api", "repro.solver"} <= packages
 
     def test_editing_fingerprinted_module_invalidates_cached_checks(
         self, store, tmp_path, monkeypatch
     ):
-        import repro.perf.cache as cache_mod
-        from repro.core.model import _prepare
-        from repro.solver import sat_enumeration
-
-        pkg = tmp_path / "fp_solver_probe_pkg"
+        pkg = tmp_path / "fp_check_probe_pkg"
         pkg.mkdir()
-        (pkg / "__init__.py").write_text("VALUE = 1\n")
+        module = pkg / "__init__.py"
+        module.write_text("VALUE = 1\n")
         monkeypatch.syspath_prepend(str(tmp_path))
         monkeypatch.setattr(
-            cache_mod, "SOLVER_CODE_PACKAGES", ("fp_solver_probe_pkg",)
+            api_core, "CHECK_CODE_PACKAGES",
+            api_core.CHECK_CODE_PACKAGES + ("fp_check_probe_pkg",),
         )
         code_fingerprint.cache_clear()
         try:
-            program = _prepare(get_litmus("mp_paired").program, "drf0")
-            # A cold shared-core run stores two entries: the enumeration
-            # result and the exhausted core (reusable across models).
-            sat_enumeration(program, cache=store)
-            assert (store.hits, store.stores) == (0, 2)
-            # Same sources: the second run is answered from the cache.
-            sat_enumeration(program, cache=store)
-            assert (store.hits, store.stores) == (1, 2)
-            # Edit a fingerprinted module: the cached enumeration must
-            # be a miss, and the recomputed result is stored anew (the
-            # in-process core memo still serves the core, so only the
-            # result entry is re-stored; its key carries the changed
-            # fingerprint).
-            (pkg / "__init__.py").write_text("VALUE = 2\n")
+            cold = encode(check_program(name="mp_paired", engine="sat", cache=store))
+            assert (store.hits, store.stores) == (0, 1)
+            # Same sources: the second request is answered from the cache.
+            warm = encode(check_program(name="mp_paired", engine="sat", cache=store))
+            assert (store.hits, store.stores) == (1, 1)
+            # Edit a fingerprinted module: the cached response must be a
+            # miss, and the recomputed response is stored under a new key.
+            module.write_text("VALUE = 2\n")
             code_fingerprint.cache_clear()
-            sat_enumeration(program, cache=store)
-            assert (store.hits, store.stores) == (1, 3)
+            edited = encode(check_program(name="mp_paired", engine="sat", cache=store))
+            assert (store.hits, store.stores) == (1, 2)
+            assert len(_files(store, ".json")) == 2
+            assert cold == warm == edited
         finally:
             code_fingerprint.cache_clear()
 
@@ -201,12 +220,23 @@ class TestCorruption:
         assert store.get(key) == (True, {"ok": 2})
 
     def test_truncated_pickle_entry_is_miss(self, store):
+        """An orphaned ``.pkl`` entry of an older version under the
+        key's name is never opened: the read is a miss and the file is
+        left as it was (only ``clear`` removes it)."""
         key = store.key("unit", "y")
-        path = store.put(key, ("big", list(range(100))), codec="pickle")
-        blob = open(path, "rb").read()
+        path = os.path.join(store.root, key[:2], f"{key}.pkl")
+        os.makedirs(os.path.dirname(path))
+        blob = pickle.dumps({"schema_version": 1, "value": list(range(100))})
         with open(path, "wb") as handle:
             handle.write(blob[: len(blob) // 2])
-        assert store.get(key, codec="pickle") == (False, None)
+        assert store.get(key) == (False, None)
+        with open(path, "rb") as handle:
+            assert handle.read() == blob[: len(blob) // 2]
+        assert store.entry_count() == 1
+        assert store.clear() == 1 and not os.path.exists(path)
+
+    def test_cache_module_cannot_unpickle(self):
+        assert not hasattr(cache_mod, "pickle")
 
     def test_missing_directory_reads_clean(self, tmp_path):
         store = ResultCache(str(tmp_path / "never-created"))
@@ -239,94 +269,95 @@ class TestResolution:
         assert resolve_cache(store) is store
 
 
-class TestBatchHandle:
-    """Satellite: the batch layer's read-through/write-back cache handle."""
-
-    def test_resolve_cache_passes_through(self, store):
-        handle = BatchHandle(store)
-        assert resolve_cache(handle) is handle
-
-    def test_write_back_deferred_until_flush(self, store):
-        handle = BatchHandle(store)
-        key = handle.key("unit", {"a": 1})
-        handle.put(key, {"value": 1})
-        assert store.entry_count() == 0  # nothing on disk yet
-        assert handle.get(key) == (True, {"value": 1})  # served from memory
-        assert handle.flush() == 1
-        assert store.get(key) == (True, {"value": 1})
-        assert handle.flush() == 0  # queue drained
-
-    def test_read_through_populates_memory(self, store):
-        key = store.key("unit", {"b": 2})
-        store.put(key, {"value": 2})
-        handle = BatchHandle(store)
-        assert handle.get(key) == (True, {"value": 2})
-        base_hits = store.hits
-        assert handle.get(key) == (True, {"value": 2})
-        assert store.hits == base_hits  # second read never touched disk
-
-    def test_raw_objects_survive_without_pickling(self, store):
-        handle = BatchHandle(store)
-        sentinel = object()  # not picklable round-trip-equal, not JSON-able
-        key = handle.key("unit", "raw")
-        handle.put(key, sentinel, codec="pickle")
-        hit, value = handle.get(key, codec="pickle")
-        assert hit and value is sentinel
-
-    def test_baseless_handle_is_pure_memo(self):
-        handle = BatchHandle()
-        key = handle.key("unit", "memo")
-        assert handle.get(key) == (False, None)
-        handle.put(key, [1, 2, 3])
-        assert handle.get(key) == (True, [1, 2, 3])
-        assert handle.flush() == 0  # nothing to write anywhere
-
-    def test_enumeration_through_handle_matches_direct(self, store):
-        program = get_litmus("mp_paired").program
-        direct = enumerate_sc_executions(program)
-        handle = BatchHandle(store)
-        cold = enumerate_sc_executions(program, cache=handle)
-        warm = enumerate_sc_executions(program, cache=handle)
-        assert store.entry_count() == 0
-        handle.flush()
-        assert store.entry_count() == 1
-        for enum in (cold, warm):
-            assert {e.canonical_key() for e in enum.executions} == {
-                e.canonical_key() for e in direct.executions
-            }
-
-
 class TestEnumerationCache:
+    """Enumerations are no longer cached on disk; what the enumeration
+    entries guaranteed is pinned where caching now happens, at the v1
+    response of a check request.  The enumeration layer still accepts
+    ``cache=`` and leaves the store untouched."""
+
     def test_hit_returns_equal_enumeration(self, store):
         program = get_litmus("mp_paired").program
-        cold = enumerate_sc_executions(program, cache=store)
-        assert store.stores == 1
-        warm = enumerate_sc_executions(program, cache=store)
-        assert store.hits == 1
-        assert isinstance(warm, SCEnumeration)
-        assert {e.canonical_key() for e in warm.executions} == {
-            e.canonical_key() for e in cold.executions
+        direct = enumerate_sc_executions(program)
+        through = enumerate_sc_executions(program, cache=store)
+        assert {e.canonical_key() for e in through.executions} == {
+            e.canonical_key() for e in direct.executions
         }
-        assert warm.stats == cold.stats
-        assert warm.final_results() == cold.final_results()
+        assert through.stats == direct.stats
+        assert (store.hits, store.misses, store.stores) == (0, 0, 0)
+        assert store.entry_count() == 0
+        # The response, enumeration counts included, replays from one hit.
+        cold = check_program(name="mp_paired", cache=store)
+        warm = check_program(name="mp_paired", cache=store)
+        assert store.hits == 1
+        assert encode(warm) == encode(cold)
 
     def test_different_programs_different_entries(self, store):
-        enumerate_sc_executions(get_litmus("mp_paired").program, cache=store)
-        enumerate_sc_executions(get_litmus("sb_paired").program, cache=store)
+        check_program(name="mp_paired", cache=store)
+        check_program(name="sb_paired", cache=store)
         assert store.entry_count() == 2
 
     def test_tracer_bypasses_cache(self, store):
         program = get_litmus("mp_paired").program
         enumerate_sc_executions(program, cache=store, tracer=Tracer())
+        check_program(name="mp_paired", trace=True, cache=store)
         assert store.entry_count() == 0
 
     def test_corrupted_entry_recomputes(self, store):
-        program = get_litmus("mp_paired").program
-        cold = enumerate_sc_executions(program, cache=store)
-        (path,) = _entry_files(store)
+        cold = encode(check_program(name="mp_paired", cache=store))
+        (path,) = _files(store, ".json")
         with open(path, "wb") as handle:
             handle.write(b"\x80garbage")
-        again = enumerate_sc_executions(program, cache=store)
-        assert {e.canonical_key() for e in again.executions} == {
-            e.canonical_key() for e in cold.executions
-        }
+        again = encode(check_program(name="mp_paired", cache=store))
+        assert again == cold
+        assert (store.misses, store.stores) == (2, 2)
+        assert _files(store, ".json") == [path]
+
+
+class TestResponseCache:
+    """A served request writes exactly one JSON entry, its response, and
+    a warm replay of it is one hit with the same bytes."""
+
+    @pytest.mark.parametrize("engine", ["enum", "auto", "sat"])
+    def test_cold_check_leaves_one_json_entry(self, store, engine):
+        cold = encode(check_program(name="mp_paired", engine=engine, cache=store))
+        assert len(_files(store, ".json")) == 1
+        assert _files(store, ".pkl") == []
+        warm_store = ResultCache(store.root)
+        warm = encode(check_program(name="mp_paired", engine=engine,
+                                    cache=warm_store))
+        assert warm == cold
+        assert (warm_store.hits, warm_store.misses, warm_store.stores) == (1, 0, 0)
+
+    def test_cold_batch_leaves_one_json_entry(self, store):
+        programs = [{"name": "mp_paired"}, {"name": "sb_paired"},
+                    {"name": "lb_paired"}]
+        cold = encode(check_batch(programs, cache=store))
+        assert len(_files(store, ".json")) == 1
+        assert _files(store, ".pkl") == []
+        warm_store = ResultCache(store.root)
+        warm = encode(check_batch(programs, cache=warm_store))
+        assert warm == cold == encode(check_batch(programs))
+        assert (warm_store.hits, warm_store.stores) == (1, 0)
+
+    def test_orphaned_pkl_entries_are_never_loaded(self, store):
+        """Garbage and code-carrying ``.pkl`` files beside a request's
+        entry neither load nor change the response."""
+        cold = encode(check_program(name="mp_paired", cache=store))
+        (entry,) = _files(store, ".json")
+        stem = entry[: -len(".json")]
+        trap = pickle.dumps(_Trap())
+        orphans = {stem + ".pkl": trap, entry + ".pkl": b"\x80garbage\x00"}
+        for path, blob in orphans.items():
+            with open(path, "wb") as handle:
+                handle.write(blob)
+        del _TRAP_LOADS[:]
+        warm_store = ResultCache(store.root)
+        warm = encode(check_program(name="mp_paired", cache=warm_store))
+        assert warm == cold
+        assert warm_store.hits == 1
+        assert _TRAP_LOADS == []
+        for path, blob in orphans.items():
+            with open(path, "rb") as handle:
+                assert handle.read() == blob
+        assert warm_store.entry_count() == 3
+        assert warm_store.clear() == 3

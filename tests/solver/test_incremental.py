@@ -13,8 +13,6 @@ exactly, at every execution cap, resumed or cold.  Random programs
 machinery the warm instance is built on.
 """
 
-import pickle
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,26 +283,11 @@ class TestCoreMemo:
         erased = self._erased(MP)
         for _ in range(3):
             with pytest.raises(SolverCapacityError, match="forced by test"):
-                _core_for(erased, MAX_TRACES_PER_THREAD, None)
+                _core_for(erased, MAX_TRACES_PER_THREAD)
         (memoized,) = bridge._CORE_MEMO.values()
         assert isinstance(memoized, SolverCapacityError)
         assert memoized.__traceback__ is None
         clear_core_memo()
-
-    def test_pickled_core_drops_its_event_table(self):
-        """The perf.cache entry of an exhausted core carries the records
-        only; a loaded core rebuilds its events and serves identically."""
-        clear_core_memo()
-        prepared = _prepare(MP, "drf1")
-        core = _core_for(erase_labels(prepared), MAX_TRACES_PER_THREAD, None)
-        before = core.serve(prepared, None, True)
-        assert core.exhausted and core._events
-        loaded = pickle.loads(pickle.dumps(core))
-        assert loaded._events == {}
-        after = loaded.serve(prepared, None, True)
-        assert [_fields(e) for e in after.executions] == \
-            [_fields(e) for e in before.executions]
-        assert after.solver_stats.counters() == before.solver_stats.counters()
 
 
 class TestCollisionFallback:
