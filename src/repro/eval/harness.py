@@ -174,9 +174,10 @@ def _sweep_tasks(
 
 
 #: Per-process memo of (built kernel, compiled form) for the cell the
-#: pool worker is currently sweeping.  Tasks are workload-major, so the
-#: six configurations of one (workload, scale, config) hit the same
-#: entry back to back; a handful of slots absorbs pool chunking.
+#: pool worker is currently sweeping.  Tasks are workload-major, and so
+#: is each worker's strided chunk of them, so the configurations of one
+#: (workload, scale, config) a worker runs hit the same entry back to
+#: back: each worker lowers a kernel at most once per sweep.
 _CELL_MEMO: Dict[Tuple, Tuple] = {}
 _CELL_MEMO_CAP = 4
 
@@ -343,17 +344,12 @@ def run_sweep(
         workload_names, config, scale, energy_model, trace_dir, engine
     )
     store = resolve_cache(cache) if trace_dir is None else None
-    if store is None:
-        for obs in parallel_map(_run_sweep_task, tasks, jobs=jobs):
-            sweep.add(obs)
-        return sweep
-
-    code = code_fingerprint(SWEEP_CODE_PACKAGES)
+    code = code_fingerprint(SWEEP_CODE_PACKAGES) if store is not None else ""
     results: List[Optional[Observation]] = [None] * len(tasks)
     keys: List[Optional[str]] = [None] * len(tasks)
     miss_indices: List[int] = []
     for index, task in enumerate(tasks):
-        if _cell_cacheable(task[0]):
+        if store is not None and _cell_cacheable(task[0]):
             key = _cell_key(store, task, code)
             found, value = store.get(key)
             obs = _decode_observation(value) if found else None

@@ -10,17 +10,19 @@ serial run.
 Dispatch granularity and fallback (what makes small grids *not* slower
 than serial):
 
-- Tasks are shipped in **chunks** of ``ceil(len(tasks) / jobs)`` — one
-  chunk per worker — so per-task pickle/IPC overhead is paid once per
-  worker instead of once per task.
-- The executor is **created once and reused** across calls (same worker
-  count), so only the first parallel dispatch in a process pays worker
-  startup.
-- Before dispatching, :func:`parallel_map` runs the first task serially
-  as a **probe**; if the measured per-task cost says the remaining work
-  cannot amortize pool startup, the whole map runs serially.  ~30 ms
-  simulations on a 2-worker pool used to come out 0.86x *slower* than
-  serial; now they fall back.
+- Tasks are shipped in **one strided chunk per worker**: chunk ``k`` is
+  ``tasks[k::workers]``, so per-task pickle/IPC overhead is paid once
+  per worker instead of once per task, and a workload-major grid gives
+  every worker an even share of each workload's configurations.
+- The executor is **created once and reused** across calls, so only the
+  first parallel dispatch in a process pays worker startup.
+- Only when a call would have to start or grow the pool does
+  :func:`parallel_map` first run one task serially as a **probe**; if
+  the measured per-task cost says the remaining work cannot amortize
+  pool startup, the whole map runs serially.  ~30 ms simulations on a
+  2-worker pool used to come out 0.86x *slower* than serial; now they
+  fall back.  A warm pool dispatches at once, so no worker idles while
+  the caller runs a task.
 
 Worker count resolution (:func:`resolve_jobs`):
 
@@ -40,6 +42,7 @@ path instead of failing, so custom user workloads keep working.
 from __future__ import annotations
 
 import atexit
+import functools
 import os
 import pickle
 import time
@@ -54,12 +57,10 @@ R = TypeVar("R")
 JOBS_ENV = "REPRO_JOBS"
 
 #: Estimated wall-clock cost of bringing up a fresh worker pool
-#: (process spawn + interpreter warmup), and of dispatching to an
-#: already-warm one.  The probe compares the projected serial remainder
-#: against ``overhead * jobs / (jobs - 1)`` — the break-even point of a
-#: perfectly parallel run.
+#: (process spawn + interpreter warmup).  The probe compares the
+#: projected serial remainder against ``COLD_START_COST_S * jobs /
+#: (jobs - 1)`` — the break-even point of a perfectly parallel run.
 COLD_START_COST_S = 0.25
-WARM_START_COST_S = 0.02
 
 _executor: Optional[ProcessPoolExecutor] = None
 _executor_workers: int = 0
@@ -104,11 +105,6 @@ def resolve_jobs(
     if n_tasks is not None and n_tasks < auto:
         return 1
     return auto
-
-
-def chunk_size(n_tasks: int, jobs: int) -> int:
-    """One chunk per worker: ``ceil(n_tasks / jobs)``."""
-    return max(1, -(-n_tasks // max(1, jobs)))
 
 
 def _picklable(tasks: Sequence) -> bool:
@@ -186,6 +182,11 @@ def shutdown_executor() -> None:
 atexit.register(shutdown_executor)
 
 
+def _apply_chunk(fn: Callable[[T], R], chunk: Sequence[T]) -> List[R]:
+    """One worker's share of a :func:`parallel_map` call."""
+    return [fn(task) for task in chunk]
+
+
 def parallel_map(
     fn: Callable[[T], R],
     tasks: Sequence[T],
@@ -196,8 +197,9 @@ def parallel_map(
 
     Results come back in task order regardless of completion order.  *fn*
     must be a module-level function (picklable by reference).  Falls back
-    to a serial map for ``jobs=1``, one task, unpicklable tasks, when the
-    first-task probe says the grid is too cheap to amortize pool startup
+    to a serial map for ``jobs=1``, one task, unpicklable tasks, when a
+    call that would start or grow the pool finds, by running the first
+    task in-process, that the grid is too cheap to amortize that startup
     (``probe=False`` disables the cost check and always dispatches), or
     when the worker pool fails in a way a serial run can report better
     (e.g. a workload registered only in the parent process).
@@ -208,31 +210,29 @@ def parallel_map(
         return [fn(task) for task in tasks]
 
     head: List[R] = []
-    if probe:
+    if probe and warm_worker_count() < min(jobs, len(tasks)):
         t0 = time.perf_counter()
         head.append(fn(tasks[0]))
         per_task = time.perf_counter() - t0
         tasks = tasks[1:]
         workers = min(jobs, len(tasks))
-        if workers <= 1:
-            return head + [fn(task) for task in tasks]
-        startup = (
-            WARM_START_COST_S
-            if warm_worker_count() >= workers
-            else COLD_START_COST_S
-        )
-        estimated_serial = per_task * len(tasks)
         # Parallel wall ~= startup + serial/jobs; it wins only when the
         # remaining serial work exceeds startup * j / (j - 1).
-        if estimated_serial <= startup * workers / max(1, workers - 1):
+        if workers <= 1 or per_task * len(tasks) <= (
+            COLD_START_COST_S * workers / (workers - 1)
+        ):
             return head + [fn(task) for task in tasks]
 
     workers = min(jobs, len(tasks))
     try:
         pool = _acquire_executor(workers)
-        return head + list(
-            pool.map(fn, tasks, chunksize=chunk_size(len(tasks), workers))
-        )
+        chunks = [tasks[k::workers] for k in range(workers)]
+        results: List = [None] * len(tasks)
+        for k, chunk in enumerate(
+            pool.map(functools.partial(_apply_chunk, fn), chunks)
+        ):
+            results[k::workers] = chunk
+        return head + results
     except (BrokenProcessPool, pickle.PicklingError, KeyError, AttributeError, OSError):
         # Reproduce (or succeed) serially; genuine errors re-raise here
         # with a clean single-process traceback.  A broken pool is torn

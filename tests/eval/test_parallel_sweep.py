@@ -50,6 +50,21 @@ class TestParallelEqualsSerial:
         assert time_csv(serial) == time_csv(parallel)
         assert energy_csv(serial) == energy_csv(parallel)
 
+    def test_warm_pool_sweep_runs_no_cell_in_the_caller(self, serial):
+        from repro.eval import harness
+        from repro.perf import pool
+
+        harness._CELL_MEMO.clear()
+        pool.shutdown_executor()
+        try:
+            pool.ensure_executor(jobs=2)
+            warm = run_sweep(NAMES, scale=SCALE, jobs=2)
+            assert harness._CELL_MEMO == {}
+        finally:
+            pool.shutdown_executor()
+        assert time_csv(warm) == time_csv(serial)
+        assert energy_csv(warm) == energy_csv(serial)
+
     def test_jobs_one_serial_path(self, serial):
         one = run_sweep(NAMES, scale=SCALE, jobs=1)
         assert set(one.observations) == set(serial.observations)

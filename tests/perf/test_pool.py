@@ -1,4 +1,4 @@
-"""Pool scheduling: auto-sizing, chunked dispatch, probe fallback."""
+"""Pool scheduling: auto-sizing, strided dispatch, cold-pool probe fallback."""
 
 import os
 
@@ -7,7 +7,6 @@ import pytest
 from repro.perf import pool
 from repro.perf.pool import (
     JOBS_ENV,
-    chunk_size,
     executor_is_warm,
     parallel_map,
     resolve_jobs,
@@ -17,6 +16,10 @@ from repro.perf.pool import (
 
 def _double(x):
     return x * 2
+
+
+def _pid(_task):
+    return os.getpid()
 
 
 @pytest.fixture(autouse=True)
@@ -57,12 +60,38 @@ class TestAutoSizing:
 
 
 class TestChunking:
+    """One strided chunk per worker (``tasks[k::workers]``), results back
+    in input order; serial shapes ship nothing."""
+
     @pytest.mark.parametrize(
         "n_tasks,jobs,expected",
-        [(12, 4, 3), (13, 4, 4), (10, 3, 4), (1, 8, 1), (8, 1, 8), (0, 4, 1)],
+        [(12, 4, 3), (13, 4, 4), (10, 3, 4), (7, 3, 3), (1, 8, 1), (8, 1, 8), (0, 4, 1)],
     )
-    def test_one_chunk_per_worker(self, n_tasks, jobs, expected):
-        assert chunk_size(n_tasks, jobs) == expected
+    def test_one_chunk_per_worker(self, monkeypatch, n_tasks, jobs, expected):
+        shipped = []
+
+        class RecordingPool:
+            def map(self, fn, chunks):
+                shipped.extend(chunks)
+                return [fn(chunk) for chunk in chunks]
+
+        monkeypatch.setattr(pool, "_acquire_executor", lambda workers: RecordingPool())
+        tasks = list(range(n_tasks))
+        out = parallel_map(_double, tasks, jobs=jobs, probe=False)
+        assert out == [x * 2 for x in tasks]
+        if jobs <= 1 or n_tasks <= 1:
+            assert shipped == []
+        else:
+            assert shipped == [tasks[k::jobs] for k in range(jobs)]
+            assert max(map(len, shipped)) == expected
+
+    def test_real_pool_returns_input_order(self):
+        shutdown_executor()
+        try:
+            out = parallel_map(_double, list(range(7)), jobs=3, probe=False)
+            assert out == [x * 2 for x in range(7)]
+        finally:
+            shutdown_executor()
 
 
 class TestProbeFallback:
@@ -87,6 +116,23 @@ class TestProbeFallback:
 
         monkeypatch.setattr(pool, "_get_executor", boom)
         assert parallel_map(_double, [21], jobs=8) == [42]
+
+    def test_cold_pool_probes_in_the_caller(self):
+        shutdown_executor()
+        try:
+            out = parallel_map(_pid, list(range(4)), jobs=2)
+            assert out[0] == os.getpid()
+        finally:
+            shutdown_executor()
+
+    def test_warm_pool_runs_no_task_in_the_caller(self):
+        shutdown_executor()
+        try:
+            pool.ensure_executor(jobs=2)
+            out = parallel_map(_pid, list(range(4)), jobs=2)
+            assert os.getpid() not in out
+        finally:
+            shutdown_executor()
 
 
 class TestWarmExecutor:
