@@ -313,7 +313,8 @@ def execute_shard(shard: Dict[str, Any]) -> Dict[str, Any]:
         # check_many yields program-major / model-minor in input order,
         # so consecutive len(models)-slices are one program each; the
         # payloads are byte-identical to per-program check_model shards
-        # (the pipeline's core invariant, asserted by the batch bench).
+        # (the pipeline's core invariant, asserted by
+        # tests/core/test_batch.py).
         entries = []
         for index, program in enumerate(programs):
             cells = results[index * len(models):(index + 1) * len(models)]

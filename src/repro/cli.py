@@ -3,20 +3,22 @@
 Subcommands:
 
 - ``figures`` — regenerate every table/figure artifact;
-- ``bench`` — the perf/regression harness writing ``BENCH_<date>.json``;
 - ``audit`` — parallel litmus-corpus verdict audit;
 - ``trace`` — record one simulation or one litmus enumeration to JSONL
   and Chrome ``trace_event`` files (see :mod:`repro.obs`);
 - ``litmus`` — check one library litmus test against all three models
   (or list the library);
+- ``calibrate`` — refit the enum-vs-sat engine router and write
+  ``calibration.json`` (see :func:`repro.solver.router.calibrate`);
 - ``serve`` — run the checker as a long-lived service speaking the v1
   request protocol over stdin-JSONL or HTTP (see :mod:`repro.serve`
   and ``docs/serve.md``).
 
 The shared flags ``--jobs``, ``--out`` and ``--trace`` are declared once
-here and inherited by every subcommand; ``--trace`` defaults to the
-``REPRO_TRACE`` environment variable, so ``REPRO_TRACE=out/ python -m
-repro figures`` traces without touching the command line.
+here and inherited by every subcommand but ``calibrate``; ``--trace``
+defaults to the ``REPRO_TRACE`` environment variable, so
+``REPRO_TRACE=out/ python -m repro figures`` traces without touching
+the command line.
 
 The verdict subcommands (``litmus``, ``audit``) are thin views over the
 :mod:`repro.api` façade — the same code path the service runs — and
@@ -30,7 +32,6 @@ flags).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -137,47 +138,16 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the perf harness and print its summary."""
-    from repro.perf.bench import (
-        baseline_regressions, compare_baseline, run_bench, summarize,
-    )
+def cmd_calibrate(args: argparse.Namespace) -> int:
+    """Refit the engine router from fresh enum-vs-sat timings."""
+    from repro.solver.router import calibrate
 
-    _cli_cache(args, default=False)  # bench manages its own caches; honor --cache-clear
-    sections = (
-        tuple(s.strip() for s in args.section.split(",") if s.strip())
-        if args.section
-        else None
+    path, calibration = calibrate(args.out)
+    print(
+        f"calibrated on {calibration['training_rows']} rows, "
+        f"{len(calibration['pins'])} pins, 0 misroutes"
     )
-    baseline = None
-    if args.baseline:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-    if args.quick:
-        # Keep best-of---repeat timing even in quick mode: best-of-1
-        # wall times jitter past the baseline gate's threshold on busy
-        # runners, and the workloads are tiny at scale 0.05 anyway.
-        path = run_bench(
-            out_dir=args.out or ".", scale=0.05, jobs=args.jobs,
-            repeat=args.repeat, sweep_names=("SC", "SEQ"), stress=False,
-            engine=args.engine, sections=sections, quick=True,
-        )
-    else:
-        path = run_bench(
-            out_dir=args.out or ".", scale=args.scale, jobs=args.jobs,
-            repeat=args.repeat, engine=args.engine, sections=sections,
-        )
-    with open(path) as handle:
-        record = json.load(handle)
     print(f"wrote {path}")
-    print(summarize(record))
-    if baseline is not None:
-        print(f"vs baseline {args.baseline}:")
-        for line in compare_baseline(record, baseline):
-            print(f"  {line}")
-        if args.baseline_fail and baseline_regressions(record, baseline):
-            print("baseline regression gate: FAIL", file=sys.stderr)
-            return 1
     return 0
 
 
@@ -408,31 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser(
-        "bench", parents=[shared],
-        help="perf harness; writes BENCH_<date>.json (default --out .)",
-    )
-    p.add_argument("--scale", type=float, default=0.25,
-                   help="sweep input scale (default 0.25)")
-    p.add_argument("--repeat", type=int, default=3,
-                   help="timing repetitions, best-of (default 3)")
-    p.add_argument("--quick", action="store_true",
-                   help="tiny smoke run (subset of workloads, scale 0.05; "
-                        "--repeat still applies)")
-    p.add_argument("--section", default=None, metavar="S[,S...]",
-                   help="run only the named bench sections (comma-"
-                        "separated), e.g. --section relcheck,simgen; "
-                        "default: all sections")
-    p.add_argument("--baseline", default=None, metavar="BENCH.json",
-                   help="diff this run's section timings against an "
-                        "earlier BENCH_<date>.json, warning on >20%% "
-                        "wall-time regressions")
-    p.add_argument("--baseline-fail", action="store_true",
-                   help="with --baseline: exit non-zero when any wall-time "
-                        "metric regressed past the 20%% threshold (CI's "
-                        "perf drift gate)")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser(
         "audit", parents=[shared],
         help="re-check the litmus corpus against its declared verdicts",
     )
@@ -506,6 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-bank", action="store_true",
                    help="report divergences without writing corpus files")
     p.set_defaults(func=cmd_fuzz)
+
+    p = sub.add_parser(
+        "calibrate",
+        help="refit the enum-vs-sat engine router: time the corpus and "
+             "the scaling families under both engines (best of 3) and "
+             "write DIR/calibration.json (default --out .)",
+    )
+    p.add_argument("--out", default=".", metavar="DIR",
+                   help="directory for calibration.json (default .)")
+    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser(
         "serve", parents=[shared],

@@ -23,7 +23,7 @@ Two engines produce the same execution set:
   saved.
 * The **naive engine** (``naive=True``) is the original exhaustive
   interleaver with per-step full-state clones.  It is kept as the oracle
-  for equivalence tests and as the baseline for ``repro.perf.bench``.
+  for the equivalence tests (``tests/core/test_enumeration_equivalence.py``).
 
 The soundness argument for the reduction is spelled out in
 ``docs/performance.md``.
@@ -975,8 +975,8 @@ def _enumerate_naive(
 #: most this take the naive interleaver when the caller does not force an
 #: engine: with a handful of memory operations the whole interleaving
 #: space is a few dozen schedules, and the POR sleep-set / memo
-#: bookkeeping costs more than it prunes (the sub-1.0x per-program
-#: entries the bench harness used to report on the tiny corpus tests).
+#: bookkeeping costs more than it prunes (timed per program, the tiny
+#: corpus tests ran slower under the reduction than without it).
 SMALL_PROGRAM_STEPS = 4
 
 
@@ -1027,10 +1027,10 @@ def enumerate_sc_executions(
     ``max_executions`` bounds the number of distinct executions collected
     (a safety valve for property tests); ``None`` means exhaustive.
     ``naive=True`` selects the original full-clone interleaver — the
-    oracle used by equivalence tests and the ``repro.perf`` baseline.
+    oracle used by equivalence tests.
     ``memo`` forces the re-convergence memo on or off; the default
     (``None``) enables it for multi-threaded programs (a perf-attribution
-    knob for the bench harness; it never changes the execution set).
+    knob; it never changes the execution set).
     Under engine defaults (``naive=False``, ``memo=None``), programs
     whose :func:`static_step_bound` is at most
     :data:`SMALL_PROGRAM_STEPS` take the naive interleaver regardless:
@@ -1050,7 +1050,8 @@ def enumerate_sc_executions(
         # The small-program gate applies under engine defaults only: a
         # caller forcing ``memo`` has asked for the reduction machinery
         # and gets it regardless of size.  Both engines produce the same
-        # execution set (the bench asserts it), so the gate is invisible
+        # execution set (tests/core/test_enumeration_equivalence.py
+        # asserts it), so the gate is invisible
         # except in wall clock.
         result = _enumerate_naive(program, max_executions, tracer=tracer)
     else:

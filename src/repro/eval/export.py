@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-from typing import Dict, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.energy.model import COMPONENTS
 from repro.eval.harness import CONFIG_ORDER, SweepResult
@@ -62,23 +61,3 @@ def series_csv(series: Mapping[str, Sequence], x_name: str) -> str:
         for x, cycles in values:
             writer.writerow([cfg, x, f"{cycles:.1f}"])
     return out.getvalue()
-
-
-def export_all(out_dir: str = "results/csv", scale: float = 1.0) -> Dict[str, str]:
-    """Run the Figure 1/3/4 sweeps and write their CSVs."""
-    from repro.eval.harness import run_figure1, run_figure3, run_figure4
-
-    artifacts: Dict[str, str] = {}
-    sweep3 = run_figure3(scale)
-    artifacts["figure3a_time.csv"] = time_csv(sweep3)
-    artifacts["figure3b_energy.csv"] = energy_csv(sweep3)
-    sweep4 = run_figure4(scale)
-    artifacts["figure4a_time.csv"] = time_csv(sweep4)
-    artifacts["figure4b_energy.csv"] = energy_csv(sweep4)
-    artifacts["figure1_speedups.csv"] = speedup_csv(run_figure1(scale))
-
-    os.makedirs(out_dir, exist_ok=True)
-    for name, text in artifacts.items():
-        with open(os.path.join(out_dir, name), "w") as handle:
-            handle.write(text)
-    return artifacts

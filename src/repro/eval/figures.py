@@ -8,7 +8,7 @@ checker rather than the simulator.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.model import check
 from repro.eval.harness import (
@@ -53,13 +53,13 @@ def figure1(
     scale: float = 1.0,
     jobs: Optional[int] = None,
     cache: CacheSpec = None,
-) -> str:
+) -> Tuple[Dict[str, float], str]:
     """Figure 1: relaxed vs SC atomic speedup on the discrete GPU."""
     speedups = run_figure1(scale, jobs=jobs, cache=cache)
     lines = ["Figure 1 — relaxed-atomics speedup over SC atomics (discrete GPU)"]
     for name, s in speedups.items():
         lines.append(f"  {name:8s} {s:6.2f}x  {_bar(s, full=2.0)}")
-    return "\n".join(lines)
+    return speedups, "\n".join(lines)
 
 
 def figure2() -> str:

@@ -62,7 +62,9 @@ def generate_all(
     from repro.core.cat_export import listing7_cat
 
     artifacts["listing7.cat"] = listing7_cat()
-    artifacts["figure1.txt"] = figures.figure1(scale, jobs=jobs, cache=cache)
+    speedups, artifacts["figure1.txt"] = figures.figure1(
+        scale, jobs=jobs, cache=cache
+    )
     artifacts["figure2.txt"] = figures.figure2()
     sweep3, text3 = figures.figure3(
         scale, jobs=jobs, trace_dir=trace_dir, cache=cache, engine=engine
@@ -79,13 +81,15 @@ def generate_all(
             handle.write(text + "\n")
 
     # Plot-ready CSVs alongside the ASCII artifacts.
-    from repro.eval.export import energy_csv, time_csv
+    from repro.eval.export import energy_csv, speedup_csv, time_csv
 
+    csvs = {"figure1_speedups.csv": speedup_csv(speedups)}
+    for stem, sweep in (("figure3", sweep3), ("figure4", sweep4)):
+        csvs[f"{stem}a_time.csv"] = time_csv(sweep)
+        csvs[f"{stem}b_energy.csv"] = energy_csv(sweep)
     csv_dir = os.path.join(out_dir, "csv")
     os.makedirs(csv_dir, exist_ok=True)
-    for stem, sweep in (("figure3", sweep3), ("figure4", sweep4)):
-        with open(os.path.join(csv_dir, f"{stem}a_time.csv"), "w") as handle:
-            handle.write(time_csv(sweep))
-        with open(os.path.join(csv_dir, f"{stem}b_energy.csv"), "w") as handle:
-            handle.write(energy_csv(sweep))
+    for name, text in csvs.items():
+        with open(os.path.join(csv_dir, name), "w") as handle:
+            handle.write(text)
     return artifacts

@@ -404,7 +404,7 @@ def bank_divergence(div: Divergence, directory: str = FUZZ_CORPUS_DIR) -> str:
 
 @dataclass
 class CampaignReport:
-    """What ``python -m repro fuzz`` prints and the bench section reads."""
+    """What ``python -m repro fuzz`` prints."""
 
     seed: int
     count: int
@@ -451,7 +451,8 @@ def run_campaign(
     *bank_dir* is not None — banked as a corpus case.  *budget_s* stops
     the campaign early (reported, never an error).
     """
-    from repro.batch import check_many  # late: batch imports fuzz for its bench
+    # Late: importing the fuzzer does not start loading the process pool.
+    from repro.batch import check_many
 
     if configs is None:
         configs = default_configs()

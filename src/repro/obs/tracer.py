@@ -6,7 +6,8 @@ stack of hierarchical scopes (kernel → phase → …) so every event knows
 where in the run it happened.  The default tracer everywhere is
 :data:`NULL_TRACER`, a no-op whose cost at an instrumentation site is a
 single attribute check (``if tracer.enabled: …``), so untraced runs pay
-nearly nothing (``repro.perf.bench`` tracks the overhead over time).
+nearly nothing (``tests/obs/test_overhead.py`` holds the no-op tracer
+to a 5% budget).
 
 Instrumented producers:
 

@@ -1,4 +1,4 @@
-"""Performance layer: parallel execution, result caching, benchmarking.
+"""Performance layer: parallel execution and result caching.
 
 - :mod:`repro.perf.pool` — process-pool fan-out with chunked dispatch,
   a reused warm executor, probe-based serial fallback and deterministic
@@ -7,11 +7,11 @@
   API responses and sweep cells (``REPRO_CACHE_DIR`` env override;
   entries self-invalidate when the sources that compute them change).
 - :mod:`repro.perf.audit` — parallel verdict audit of the litmus corpus.
-- :mod:`repro.perf.bench` — the benchmark/regression harness
-  (``python -m repro bench``); writes ``BENCH_<date>.json``.
 
-See ``docs/performance.md`` for usage, the partial-order-reduction
-soundness argument, and the cache key composition.
+Speed is measured by the repository benchmark, ``e2ebench/run.py``
+(``BENCHMARK.json``).  See ``docs/performance.md`` for usage, how to
+measure, the partial-order-reduction soundness argument, and the cache
+key composition.
 """
 
 from repro.perf.cache import ResultCache, code_fingerprint, resolve_cache

@@ -2,7 +2,7 @@
 sweep cells.
 
 Full Figure 3/4 sweeps re-simulate every (workload, configuration) cell
-on every ``python -m repro figures``/``bench`` invocation even when
+on every ``python -m repro figures`` invocation even when
 nothing changed, and a service answers the same request many times.
 :class:`ResultCache` memoizes those results on disk, keyed by a stable
 hash of *everything the result depends on*:

@@ -32,10 +32,9 @@ slice), so tasks of concurrent requests interleave on the same
 workers.  Responses are deterministic and
 byte-identical to direct :func:`repro.api.handle_request` calls.
 
-:func:`generate_load` is the load generator behind ``python -m repro
-bench --section serve``: it drives a fresh in-process service with a
-request mix and records per-request latency and sustained checks/sec,
-cold vs warm.
+:func:`generate_load` is the in-process load generator: it drives a
+fresh service with a request mix and records per-request latency and
+sustained checks/sec, cold vs warm.
 """
 
 from __future__ import annotations
@@ -488,9 +487,9 @@ def generate_load(
     service, all submitted at once, and record per-request latency
     (submission to response, queueing included) and total wall time.
 
-    The bench harness runs this twice against the same cache directory —
-    cold then warm — to measure the O(1) cache-hit path; responses come
-    back in request order so the two runs (and direct
+    ``tests/serve/test_serve.py`` runs this twice against the same cache
+    directory — cold then warm — to hold the O(1) cache-hit path to
+    10x; responses come back in request order so the two runs (and direct
     :func:`repro.api.handle_request` calls) can be compared
     byte-for-byte.
     """

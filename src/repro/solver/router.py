@@ -14,10 +14,9 @@ This module replaces the gate with a small cost model:
   the decision is a pure function of the program and the calibration.
 - :func:`fit_calibration` fits two log-linear least-squares cost models
   (pure python normal equations, no numpy needed) from measured
-  3-model enum vs shared-core sat wall times, as recorded by
-  ``python -m repro bench --section solver`` — which persists the fit
-  beside the bench JSON.  Training rows where the fitted model would
-  still pick the slower engine are written into ``pins`` (exact feature
+  3-model enum vs shared-core sat wall times, as measured by
+  :func:`calibrate`.  Training rows where the fitted model would still
+  pick the slower engine are written into ``pins`` (exact feature
   vector -> engine), so the router agrees with the measurements on every
   program it was calibrated on by construction.
 - :func:`decide` consults the calibration (packaged
@@ -25,10 +24,10 @@ This module replaces the gate with a small cost model:
   ``REPRO_CALIBRATION`` env var) and falls back to the old static gate
   when none is loadable.
 
-The bench records each decision's feature vector and predicted costs in
-``BENCH_<date>.json`` (``solver.router.per_program``); refit by running
-``python -m repro bench --section solver`` and copying the emitted
-``calibration.json`` over the packaged one.
+Refit by running ``python -m repro calibrate --out DIR``, which times
+every training program under both engines, fits, checks that the fit
+routes each training row to its measured-faster engine, and writes
+``DIR/calibration.json``; copy it over the packaged one.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -48,7 +48,7 @@ from repro.solver.encode import static_memory_ops
 #: Env var naming an alternative calibration JSON (tests, experiments).
 ENV_CALIBRATION = "REPRO_CALIBRATION"
 
-#: Packaged default calibration, refreshed by the solver bench section.
+#: Packaged default calibration, refreshed by :func:`calibrate`.
 DEFAULT_CALIBRATION = Path(__file__).with_name("calibration.json")
 
 #: Fallback gate when no calibration is loadable: PR 8's static rule
@@ -66,7 +66,7 @@ FEATURES = (
 
 @dataclass(frozen=True)
 class RouterDecision:
-    """One routing decision, with everything the bench records."""
+    """One routing decision, with the features and predictions behind it."""
 
     engine: str  # "enum" | "sat"
     features: Dict[str, int]
@@ -195,9 +195,9 @@ def fit_calibration(
 
     Each row carries ``features`` (the :func:`program_features` dict),
     ``enum_s`` and ``sat_s`` — comparable wall times for the same unit of
-    work (the bench uses the full 3-model check, enum vs cold shared
-    core).  Rows where ``sat_s`` is None (solver capacity fallback) train
-    the enum model only and pin to ``"enum"``.
+    work (:func:`measure` uses the full 3-model check, enum vs cold
+    shared core).  Rows where ``sat_s`` is None (solver capacity
+    fallback) train the enum model only and pin to ``"enum"``.
     """
     design: List[List[float]] = []
     enum_t: List[float] = []
@@ -312,3 +312,117 @@ def decide(
         predicted_enum_s=enum_pred,
         predicted_sat_s=sat_pred,
     )
+
+
+# ---------------------------------------------------------------------------
+# Measuring + refitting (``python -m repro calibrate``)
+# ---------------------------------------------------------------------------
+
+#: Timing rounds per training program; each row keeps its best round.
+CALIBRATION_REPEAT = 3
+
+
+def training_programs() -> List[Program]:
+    """What a refit measures: the litmus corpus and both scaling
+    families at 2 to 6 threads (the sizes where the crossover lies)."""
+    from repro.litmus.corpus import load_corpus
+    from repro.litmus.library import scaled_chain, scaled_mp
+
+    programs = [entry.program for entry in load_corpus()]
+    for make in (scaled_chain, scaled_mp):
+        programs += [make(n) for n in range(2, 7)]
+    return programs
+
+
+def measure(programs: Sequence[Program]) -> List[Dict[str, object]]:
+    """Time each program's 3-model check under enum and under a cold
+    shared-core sat, one row per feature vector.
+
+    The router decides per feature vector (drf0/drf1 preparations of a
+    program usually share one, drfrlx's quantum transformation gets its
+    own), so that is the granularity of a row: a vector's times sum its
+    models' best-of-:data:`CALIBRATION_REPEAT` checks over every
+    program that has it, and a row's sat time is its share of the
+    shared-core audit, so the amortized encode cost lands where it is
+    paid.  ``sat_s`` is None
+    when any of its checks fell back to enum (solver capacity).
+    """
+    from repro.core.model import MODELS, _prepare, check
+    from repro.solver.bridge import clear_core_memo
+
+    rows: Dict[str, Dict[str, object]] = {}
+    for program in programs:
+        keys: Dict[str, str] = {}
+        for model in MODELS:
+            prepared = _prepare(program, model)
+            features = program_features(prepared)
+            keys[model] = key = feature_key(features)
+            rows.setdefault(key, {
+                "features": features, "prepared": prepared, "programs": [],
+                "enum_s": 0.0, "sat_s": 0.0,
+            })
+        best: Dict[Tuple[str, str], float] = {}
+        fell_back = set()
+        for _ in range(CALIBRATION_REPEAT):
+            for engine in ("enum", "sat"):
+                clear_core_memo()
+                spent = dict.fromkeys(keys.values(), 0.0)
+                for model in MODELS:
+                    t0 = time.perf_counter()
+                    result = check(program, model, engine=engine)
+                    spent[keys[model]] += time.perf_counter() - t0
+                    if result.engine != engine:
+                        fell_back.add(keys[model])
+                for key, elapsed in spent.items():
+                    best[engine, key] = min(
+                        best.get((engine, key), elapsed), elapsed
+                    )
+        for key in set(keys.values()):
+            row = rows[key]
+            row["programs"].append(program.name)
+            row["enum_s"] += best["enum", key]
+            if key in fell_back or row["sat_s"] is None:
+                row["sat_s"] = None
+            else:
+                row["sat_s"] += best["sat", key]
+    return list(rows.values())
+
+
+def misroutes(
+    rows: Sequence[Mapping[str, object]], calibration: Dict[str, object],
+) -> List[str]:
+    """The programs of every measured row that *calibration* routes to
+    the slower engine (or to sat where the solver could not run)."""
+    wrong: List[str] = []
+    for row in rows:
+        engine = decide(row["prepared"], calibration=calibration).engine
+        chosen = row["sat_s"] if engine == "sat" else row["enum_s"]
+        fastest = min(t for t in (row["enum_s"], row["sat_s"]) if t is not None)
+        if chosen is None or chosen > fastest:
+            wrong.append(",".join(row["programs"]))
+    return wrong
+
+
+def calibrate(
+    out_dir: str, programs: Optional[Sequence[Program]] = None,
+) -> Tuple[str, Dict[str, object]]:
+    """Measure *programs* (default :func:`training_programs`), refit,
+    and write ``out_dir/calibration.json``; returns its path and the
+    calibration.  Raises ``AssertionError`` if the fit would route any
+    measured row to the slower engine, which the pins rule out."""
+    from datetime import date
+
+    rows = measure(training_programs() if programs is None else programs)
+    calibration = fit_calibration(rows, fitted=date.today().isoformat())
+    wrong = misroutes(rows, calibration)
+    if wrong:
+        raise AssertionError(
+            f"router picked the slower engine for {wrong} even after "
+            "refitting; pins should have prevented this"
+        )
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "calibration.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(calibration, handle, indent=2)
+        handle.write("\n")
+    return path, calibration

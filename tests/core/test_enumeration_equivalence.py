@@ -3,20 +3,41 @@
 The default engine (sleep-set partial-order reduction + copy-on-write
 path prefixes + canonical-state memo) must produce exactly the same
 execution set as the original full-clone interleaver on every program we
-have — the litmus library and the on-disk corpus — under every memo
-setting.  ``naive=True`` is the escape hatch that selects the oracle.
+have — the litmus library, the on-disk corpus and a few stress programs
+— under every memo setting.  ``naive=True`` is the escape hatch that
+selects the oracle.
 """
 
 import pytest
 
 from repro.core.executions import enumerate_sc_executions
 from repro.core.model import check
+from repro.litmus import load, store
 from repro.litmus.corpus import load_corpus
 from repro.litmus.library import all_tests
+from repro.litmus.program import Program
 
 LIBRARY = [(t.name, t.program) for t in all_tests()]
 CORPUS = [(e.name, e.program) for e in load_corpus()]
-ALL_PROGRAMS = LIBRARY + CORPUS
+
+#: Programs that scale the interleaving space the way the reduction
+#: targets: several threads of mostly independent operations, where the
+#: naive engine pays the full multinomial interleaving count — disjoint
+#: writers ((N*M)!/(M!^N) interleavings, one canonical execution) and
+#: message passing beside an independent bystander thread.
+STRESS = [
+    (f"stress-disjoint-{n}x{m}", Program("stress", [
+        [store(f"x{t}", k + 1) for k in range(m)] for t in range(n)
+    ]))
+    for n, m in ((3, 3), (4, 2))
+] + [
+    ("stress-mp-bystander", Program("stress", [
+        [store("data", 1), store("flag", 1)],
+        [load("r0", "flag"), load("r1", "data")],
+        [store("z0", 1), store("z1", 1), store("z2", 1)],
+    ])),
+]
+ALL_PROGRAMS = LIBRARY + CORPUS + STRESS
 
 
 def _summary(enum):

@@ -36,7 +36,7 @@ def test_memo_hits_on_reconverging_program(name):
 
 
 def test_memo_hits_on_corpus():
-    """The bench acceptance criterion: memo_hits > 0 over the corpus."""
+    """The memo earns its place: memo_hits > 0 over the corpus."""
     total = sum(
         enumerate_sc_executions(entry.program).stats.memo_hits
         for entry in load_corpus()

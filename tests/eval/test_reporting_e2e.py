@@ -29,6 +29,7 @@ def test_csvs_written(artifacts):
     _, out = artifacts
     csv_dir = os.path.join(str(out), "csv")
     for name in (
+        "figure1_speedups.csv",
         "figure3a_time.csv", "figure3b_energy.csv",
         "figure4a_time.csv", "figure4b_energy.csv",
     ):

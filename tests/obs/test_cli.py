@@ -13,7 +13,7 @@ class TestParser:
         assert "SUBCOMMAND" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "command", ["figures", "bench", "audit", "trace", "litmus"]
+        "command", ["figures", "serve", "audit", "trace", "litmus"]
     )
     def test_shared_flags_on_every_subcommand(self, command):
         parser = build_parser()
@@ -22,6 +22,13 @@ class TestParser:
             argv.insert(1, "SC")
         args = parser.parse_args(argv)
         assert args.jobs == 3 and args.out == "d" and args.trace == "t"
+
+    def test_calibrate_takes_only_out(self):
+        parser = build_parser()
+        assert parser.parse_args(["calibrate"]).out == "."
+        assert parser.parse_args(["calibrate", "--out", "d"]).out == "d"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["calibrate", "--jobs", "3"])
 
     def test_trace_flag_defaults_from_environment(self, monkeypatch):
         monkeypatch.setenv(TRACE_ENV, "/tmp/envtrace")

@@ -1,1 +1,1 @@
-"""Tests for repro.perf: pool, audit and bench harness."""
+"""Tests for repro.perf (pool, cache, audit) and the CI paired gate."""

@@ -4,8 +4,8 @@ The compiled engine (:mod:`repro.sim.compile`) is a pure specialization:
 it must reproduce the reference interpreter's timing and statistics
 bit-for-bit on every workload and configuration — same float arithmetic
 in the same order, not merely "close".  These tests are the oracle that
-keeps the fast path honest; the perf side is covered by the ``simgen``
-section of ``python -m repro bench``.
+keeps the fast path honest; its speed shows in the benchmark's
+``sim_sweep`` workload (``e2ebench/run.py``).
 """
 
 import pytest

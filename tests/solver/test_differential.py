@@ -28,6 +28,7 @@ from repro.core.executions import enumerate_sc_executions
 from repro.core.labels import AtomicKind
 from repro.core.model import MODELS, _prepare, check, classify_enumeration
 from repro.litmus.ast import load, rmw, store
+from repro.litmus.corpus import load_corpus
 from repro.litmus.library import all_tests, scaled_chain, scaled_mp
 from repro.litmus.program import Program
 from repro.solver import SolverCapacityError, sat_enumeration
@@ -140,21 +141,23 @@ def test_check_verdicts_identical_on_random_programs(program):
 
 
 def test_full_corpus_differential():
-    """Every litmus test under every model, byte-identical witnesses;
-    capacity fallbacks (deep RMW chains, seqlock loops) are counted and
-    skipped by design."""
+    """Every litmus test, library and on-disk corpus, under every model,
+    byte-identical witnesses; capacity fallbacks (deep RMW chains,
+    seqlock loops) are counted and skipped by design."""
     mismatches = []
     skipped = 0
     checked = 0
-    for test in all_tests():
+    programs = [(t.name, t.program) for t in all_tests()]
+    programs += [(e.name, e.program) for e in load_corpus()]
+    for name, program in programs:
         for model in MODELS:
             try:
-                assert_engines_agree(test.program, model)
+                assert_engines_agree(program, model)
                 checked += 1
             except SolverCapacityError:
                 skipped += 1
             except AssertionError as exc:
-                mismatches.append(f"{test.name}/{model}: {exc}")
+                mismatches.append(f"{name}/{model}: {exc}")
     assert not mismatches, mismatches
     # The caps must not swallow the corpus: the overwhelming majority of
     # tests go through the solver.
@@ -162,8 +165,9 @@ def test_full_corpus_differential():
 
 
 def test_scaling_families_agree():
-    """The bench's scaling families at enumerable sizes, all models."""
-    for n in (2, 3, 4):
+    """The scaling families at every size the enumerator finishes in a
+    second or two, all models."""
+    for n in (2, 3, 4, 5, 6):
         for program in (scaled_mp(n), scaled_chain(n)):
             for model in MODELS:
                 assert_engines_agree(program, model)

@@ -10,8 +10,14 @@ deterministic solver counters (decisions, conflicts, propagations,
 learned clauses, restarts) — must match a fresh ``shared=False`` run
 exactly, at every execution cap, resumed or cold.  Random programs
 (hypothesis) probe the identity; crafted CNFs pin the clause-group
-machinery the warm instance is built on.
+machinery the warm instance is built on.  ``TestSpeedup`` holds the
+shared core to its reason for existing: a 3-model audit at least twice
+as fast as one-shot solving.  It is a timing gate, so it runs only with
+``REPRO_TIMING_GATES=1`` set (CI's solver-smoke job sets it).
 """
+
+import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -58,16 +64,21 @@ def _observables(enumeration):
     }
 
 
-def assert_incremental_identity(program, model, max_executions=None):
+def assert_incremental_identity(program, model, max_executions=None,
+                                expand_registers=True, cold=True):
+    """One-shot and shared-core enumerations of one cell agree; with
+    ``cold=False`` the shared side may reuse a core an earlier model of
+    the same program left in the memo."""
     prepared = _prepare(program, model)
-    clear_core_memo()
+    if cold:
+        clear_core_memo()
     one = sat_enumeration(
         prepared, max_executions=max_executions,
-        expand_registers=True, shared=False,
+        expand_registers=expand_registers, shared=False,
     )
     inc = sat_enumeration(
         prepared, max_executions=max_executions,
-        expand_registers=True, shared=True,
+        expand_registers=expand_registers, shared=True,
     )
     a, b = _observables(one), _observables(inc)
     assert a["keys"] == b["keys"], f"{program.name}/{model}"
@@ -415,3 +426,79 @@ class TestStatsSurface:
         inc = sat_enumeration(_prepare(MP, "drf0"), shared=True)
         assert inc.solver_stats.encode_s > 0.0
         assert inc.solver_stats.solve_s >= 0.0
+
+
+def _audit_seconds(programs, shared):
+    """Wall time of the 3-model sat audit of *programs*; the shared-core
+    side starts from a cold core memo, as a fresh process would."""
+    if shared:
+        clear_core_memo()
+    t0 = time.perf_counter()
+    for program in programs:
+        for model in MODELS:
+            sat_enumeration(_prepare(program, model), shared=shared)
+    return time.perf_counter() - t0
+
+
+def _sat_eligible_corpus():
+    """The corpus programs whose three models all fit the solver."""
+    eligible = []
+    for entry in load_corpus():
+        try:
+            for model in MODELS:
+                sat_enumeration(_prepare(entry.program, model), shared=False)
+        except SolverCapacityError:
+            continue
+        eligible.append(entry.program)
+    return eligible
+
+
+#: Both scaling families at the size the speedup target is set at.
+FAMILIES = (scaled_chain(8), scaled_mp(8))
+
+
+class TestAuditIdentity:
+    def test_shared_core_audit_matches_one_shot_and_enum(self):
+        """The inputs ``TestSpeedup`` times: the SAT-eligible corpus
+        (also against the enumerator) and both scaling families at
+        n=8, each program's models served in turn from one warm core."""
+        for program in _sat_eligible_corpus():
+            clear_core_memo()
+            for model in MODELS:
+                _, inc = assert_incremental_identity(program, model,
+                                                     cold=False)
+                ref = enumerate_sc_executions(_prepare(program, model))
+                assert _keys(inc) == _keys(ref), f"{program.name}/{model}"
+        for program in FAMILIES:
+            clear_core_memo()
+            for model in MODELS:
+                assert_incremental_identity(program, model, cold=False,
+                                            expand_registers=False)
+
+
+class TestSpeedup:
+    #: Minimum shared-core speedup over one-shot solving, per audit set.
+    TARGET = 2.0
+    #: Interleaved one-shot/shared rounds; each side keeps its best.
+    REPEAT = 3
+
+    @pytest.mark.bench
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_TIMING_GATES"),
+        reason="timing gate: needs a quiet host, run by CI's solver-smoke "
+               "job (set REPRO_TIMING_GATES=1)",
+    )
+    def test_shared_core_audit_is_twice_as_fast_as_one_shot(self):
+        """The 3-model sat audit of the SAT-eligible corpus and of each
+        scaling family at n=8, one-shot against one warm core per
+        program."""
+        speedups = {}
+        for name, programs in [("corpus", _sat_eligible_corpus())] + [
+            (program.name, [program]) for program in FAMILIES
+        ]:
+            one = inc = float("inf")
+            for _ in range(self.REPEAT):
+                one = min(one, _audit_seconds(programs, shared=False))
+                inc = min(inc, _audit_seconds(programs, shared=True))
+            speedups[name] = one / inc
+        assert min(speedups.values()) >= self.TARGET, speedups

@@ -1,13 +1,12 @@
 """The calibrated engine router: features, fitting, loading, deciding.
 
 The router replaces the static step-bound gate with a cost model fitted
-from measured enum-vs-sat timings (``python -m repro bench --section
-solver``).  These tests pin the parts that must not drift: feature
+from measured enum-vs-sat timings (``python -m repro calibrate``).  These tests pin the parts that must not drift: feature
 extraction is a pure function of the prepared program, fitting pins
 every training row it would misroute (training-set agreement by
 construction), loading validates the schema and honors the
 ``REPRO_CALIBRATION`` override, and the packaged calibration routes
-every corpus program to the engine the bench measured as faster —
+every corpus program to the engine measured as faster —
 including the RMW-heavy programs the old gate sent to the solver at a
 100x+ loss.
 """
@@ -32,9 +31,9 @@ from repro.solver.router import (
 #: Engine the packaged calibration must choose per corpus program.  A
 #: bare string means every model routes the same way; a dict records a
 #: per-model split (drfrlx's quantum transformation changes the program
-#: the router sees).  Regenerate with the bench when the calibration is
-#: refitted: the invariant behind this table is "the measured-faster
-#: engine", which the bench asserts, and the 2-thread RMW/havoc programs
+#: the router sees).  Regenerate when the calibration is refitted: the
+#: invariant behind this table is "the measured-faster engine", which
+#: ``calibrate`` asserts, and the 2-thread RMW/havoc programs
 #: staying on enum is precisely the regression BENCH_20260808 caught in
 #: the old static gate.
 CORPUS_ROUTES = {
@@ -121,6 +120,33 @@ class TestFitting:
         assert loaded["fitted"] == "2026-08-08"
         router.clear_calibration_memo()
 
+    def test_calibrate_routes_its_training_rows_with_no_misroute(
+        self, tmp_path,
+    ):
+        """The refit behind ``python -m repro calibrate``, on a slice of
+        its training set: the fit sends every measured row to the engine
+        measured faster (0 misroutes), a fit pinned the other way is
+        caught, and the written file loads."""
+        programs = [e.program for e in load_corpus()[:4]]
+        programs += [scaled_mp(3), scaled_chain(4)]
+        rows = router.measure(programs)
+        cal = fit_calibration(rows)
+        assert router.misroutes(rows, cal) == []
+        flipped = dict(cal, pins={
+            feature_key(row["features"]):
+                "sat" if row["sat_s"] is None or row["enum_s"] < row["sat_s"]
+                else "enum"
+            for row in rows
+        })
+        assert router.misroutes(rows, flipped)
+
+        path, written = router.calibrate(str(tmp_path), programs)
+        router.clear_calibration_memo()
+        try:
+            assert load_calibration(path) == json.loads(json.dumps(written))
+        finally:
+            router.clear_calibration_memo()
+
 
 def decide_features(features, cal):
     """Decide from a bare feature vector (test helper: rebuilds nothing)."""
@@ -190,8 +216,8 @@ class TestDecisions:
         assert decide(prepared) == decide(prepared)
 
     def test_corpus_programs_route_to_the_measured_faster_engine(self):
-        """The regression the ISSUE names: every corpus program must be
-        routed to the engine the bench measured as faster — in
+        """The regression the old static gate had: every corpus program
+        must be routed to the engine measured as faster — in
         particular the 2-thread RMW/havoc programs stay on enum (the
         old gate's 100x+ misroutes) and the message-passing tests go to
         the solver."""
