@@ -93,7 +93,11 @@ BACKEND_ALIASES = {"numpy": "dense"}
 
 #: Valid ``engine`` values for sweep requests (mirrors
 #: ``repro.sim.system.ENGINES``).
-ENGINES = ("auto", "compiled", "vectorized", "reference")
+ENGINES = ("auto", "reference")
+
+#: Retired sweep ``engine`` spellings, normalised during validation:
+#: both named a fast path, and ``auto`` takes the one that is left.
+ENGINE_ALIASES = {"compiled": "auto", "vectorized": "auto"}
 
 #: Valid ``options.engine`` values for check/audit requests (mirrors
 #: ``repro.core.model.ENGINES``).  Added post-v1 as an optional field
@@ -398,7 +402,8 @@ def validate_request(obj: Any) -> Dict[str, Any]:
             "id": request_id,
             "workloads": list(workloads),
             "scale": float(scale),
-            "engine": _choice(obj, "engine", ENGINES, "auto", "request"),
+            "engine": _choice(obj, "engine", ENGINES, "auto", "request",
+                              ENGINE_ALIASES),
         }
     # kind == "audit"
     _require_keys(obj, common + ("options",), "request")

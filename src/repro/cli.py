@@ -39,6 +39,11 @@ from typing import List, Optional, Sequence
 #: Environment variable supplying the default ``--trace`` directory.
 TRACE_ENV = "REPRO_TRACE"
 
+#: ``--engine`` choices: :data:`repro.sim.system.ENGINES`, spelled out
+#: so that parsing a command does not import the simulator (a test pins
+#: the two equal).
+SIM_ENGINES = ("auto", "reference")
+
 
 def _shared_flags(
     jobs_help: str = "worker processes for parallel stages "
@@ -75,14 +80,12 @@ def _shared_flags(
     )
     shared.add_argument(
         "--engine",
-        choices=("auto", "compiled", "vectorized", "reference"),
+        choices=SIM_ENGINES,
         default="auto",
-        help="simulator execution engine: 'vectorized' is the numpy-lowered "
-             "fast path, 'compiled' the ahead-of-time trace-compiled one, "
-             "'reference' the instrumented interpreter; 'auto' (default) "
-             "picks vectorized when numpy is importable, compiled "
-             "otherwise, and reference when tracing. All produce "
-             "identical results",
+        help="simulator execution engine: 'auto' (default) runs the "
+             "compiled fast path, or the instrumented 'reference' "
+             "interpreter when tracing or when the fast path cannot be "
+             "exact. Both produce identical results",
     )
     shared.add_argument(
         "--relation-backend", choices=("auto", "dense", "pairs"),

@@ -183,21 +183,15 @@ _CELL_MEMO_CAP = 4
 
 
 def _compiled_cell(name: str, config: SystemConfig, scale: float) -> Tuple:
-    """The cell's kernel plus its ahead-of-time fast form, memoized per
-    worker process so one lowering serves all six configurations.  With
-    numpy importable the memo holds the vectorized form (which wraps the
-    compiled one — ``System.run`` unwraps it when the cell resolves to
-    the compiled engine); otherwise the compiled form alone."""
+    """The cell's kernel plus its compiled form, memoized per worker
+    process so one lowering serves all six configurations."""
     from repro.sim.compile import compile_kernel
-    from repro.sim.vectorize import available, vectorize_kernel
 
     key = (name, scale, tuple(sorted(asdict(config).items())))
     entry = _CELL_MEMO.get(key)
     if entry is None:
         kernel = get(name).build(config, scale)
         fast = compile_kernel(kernel, config)
-        if available():
-            fast = vectorize_kernel(fast)
         entry = (kernel, fast)
         while len(_CELL_MEMO) >= _CELL_MEMO_CAP:
             _CELL_MEMO.pop(next(iter(_CELL_MEMO)))
@@ -328,9 +322,8 @@ def run_sweep(
     are dispatched.  Tracing bypasses the cache.
 
     ``engine`` selects the simulator's execution engine (see
-    :data:`repro.sim.system.ENGINES`): ``"auto"`` takes the vectorized
-    fast path when numpy is importable (the compiled one otherwise)
-    unless the cell is being traced, ``"reference"`` forces the
+    :data:`repro.sim.system.ENGINES`): ``"auto"`` takes the compiled
+    fast path unless the cell is being traced, ``"reference"`` forces the
     instrumented interpreter.  Every engine produces identical
     observations — and therefore identical CSVs and figures — so the
     choice is purely a wall-clock one.

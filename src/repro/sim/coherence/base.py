@@ -19,7 +19,7 @@ from repro.sim.mem.cache import L1Cache, LineState
 from repro.sim.mem.l2 import L2System
 from repro.sim.mem.mshr import MshrFile
 from repro.sim.mem.storebuffer import StoreBuffer
-from repro.sim.noc.mesh import Mesh, xy_geometry
+from repro.sim.noc.mesh import Mesh
 from repro.obs.metrics import MetricSet
 
 
@@ -63,24 +63,6 @@ class CoherenceProtocol:
         #: DeNovo transfers lines / steals word registrations through it.
         self.peers = peers
         self.peers[node] = self
-        #: home node -> precomputed L2 round-trip plan; populated lazily
-        #: once :meth:`prepare_compiled` has rebound the fetch paths.
-        #: Keyed by home (at most one per mesh node), not by line: every
-        #: line with the same home shares route, bank and flit costs.
-        self._fetch_plans: Dict[int, tuple] = None  # type: ignore[assignment]
-
-    def prepare_compiled(self) -> None:
-        """Hook consumed by the compiled engine before a run: switch the
-        structures this core owns onto their ahead-of-time fast paths.
-        Never changes timing or statistics, only lookup cost."""
-        self.l1.enable_touched_tracking()
-        if self._fetch_plans is None:
-            self._fetch_plans = {}
-            self._home_of = self.l2.home_node
-            # Instance-attribute rebind: the interpreter keeps the class
-            # methods; only this prepared instance takes the planned path.
-            self._l2_fetch = self._l2_fetch_planned  # type: ignore[method-assign]
-            self._l2_writethrough = self._l2_writethrough_planned  # type: ignore[method-assign]
 
     # -- helpers -----------------------------------------------------------------
     def line_of(self, addr: int) -> int:
@@ -114,102 +96,6 @@ class CoherenceProtocol:
         if not access.l2_hit:
             self.stats.bump(S.DRAM_ACCESS)
         return access.done
-
-    # -- ahead-of-time planned variants (compiled engine only) --------------------
-    # The home bank and XY route of a line never change, so the whole L2
-    # round trip except the bank's FIFO state can be resolved once.  The
-    # planned variants repeat the originals' arithmetic term by term (the
-    # same additions in the same order) and make every counter update the
-    # originals make, so timing and statistics are bit-identical; the
-    # exhaustive compiled-vs-reference tests hold them to that.
-
-    def _plan_home(self, home: int) -> tuple:
-        bank = self.l2.banks[home]
-        node = self.node
-        if home == node:
-            return (bank, True, (), (), 0.0, 0.0, 0, 0.0, 0, 0.0, 0.0)
-        mesh = self.mesh
-        hops, pairs_there = xy_geometry(mesh.width, mesh.height, node, home)
-        links_there = tuple(mesh._link(a, b) for a, b in pairs_there)
-        _, pairs_back = xy_geometry(mesh.width, mesh.height, home, node)
-        links_back = tuple(mesh._link(a, b) for a, b in pairs_back)
-        flit_service = self.config.link_flit_service
-        ctrl_fh = self._ctrl_flits * hops
-        data_fh = self._data_flits * hops
-        return (
-            bank,
-            False,
-            links_there,
-            links_back,
-            hops * self.config.noc_hop_latency,
-            self._ctrl_flits * flit_service,
-            ctrl_fh,
-            self._data_flits * flit_service,
-            data_fh,
-            float(ctrl_fh + data_fh),
-            float(data_fh),
-        )
-
-    def _l2_fetch_planned(self, now: float, line: int, atomic: bool = False) -> float:
-        home = self._home_of(line)
-        plans = self._fetch_plans
-        plan = plans.get(home)
-        if plan is None:
-            plan = self._plan_home(home)
-            plans[home] = plan
-        bank, local, links_there, links_back, hop_delay, ctrl_occ, ctrl_fh, data_occ, data_fh, fh_round, fh_data = plan
-        counters = self.stats.counters
-        if local:
-            counters[S.NOC_FLIT_HOPS] += 0.0
-            done, hit = bank.access_fast(now, line, atomic=atomic)
-            counters[S.L2_ACCESS] += 1.0
-            if not hit:
-                counters[S.DRAM_ACCESS] += 1.0
-            return done
-        mesh = self.mesh
-        for link in links_there:
-            link.requests += 1
-            link.busy_cycles += ctrl_occ
-        done, hit = bank.access_fast(now + hop_delay + ctrl_occ, line, atomic=atomic)
-        counters[S.L2_ACCESS] += 1.0
-        if not hit:
-            counters[S.DRAM_ACCESS] += 1.0
-        for link in links_back:
-            link.requests += 1
-            link.busy_cycles += data_occ
-        mesh.flit_hops += ctrl_fh + data_fh
-        mesh.messages += 2
-        # Flit-hop bumps are integer-valued, so one combined addition is
-        # exactly the two the interpreter makes.
-        counters[S.NOC_FLIT_HOPS] += fh_round
-        return done + hop_delay + data_occ
-
-    def _l2_writethrough_planned(self, now: float, line: int) -> float:
-        home = self._home_of(line)
-        plans = self._fetch_plans
-        plan = plans.get(home)
-        if plan is None:
-            plan = self._plan_home(home)
-            plans[home] = plan
-        bank, local, links_there, _links_back, hop_delay, _ctrl_occ, _ctrl_fh, data_occ, data_fh, _fh_round, fh_data = plan
-        counters = self.stats.counters
-        if local:
-            counters[S.NOC_FLIT_HOPS] += 0.0
-            arrival = now
-        else:
-            mesh = self.mesh
-            for link in links_there:
-                link.requests += 1
-                link.busy_cycles += data_occ
-            mesh.flit_hops += data_fh
-            mesh.messages += 1
-            counters[S.NOC_FLIT_HOPS] += fh_data
-            arrival = now + hop_delay + data_occ
-        done, hit = bank.access_fast(arrival, line)
-        counters[S.L2_ACCESS] += 1.0
-        if not hit:
-            counters[S.DRAM_ACCESS] += 1.0
-        return done
 
     # -- interface ----------------------------------------------------------------
     def load(self, now: float, addr: int) -> float:

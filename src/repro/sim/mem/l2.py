@@ -10,11 +10,19 @@ contention.  For DeNovo the L2 doubles as the registration directory
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Resource
+
+
+def home_bank(line: int, nodes: Sequence[int]) -> int:
+    """The home node of *line* among the bank *nodes*: an XOR-folded
+    hash (as in real NUCA L2s), because plain modulo maps power-of-two
+    strides onto a couple of banks, serializing whole access waves
+    behind two DRAM ports."""
+    return nodes[(line ^ (line >> 4) ^ (line >> 8)) % len(nodes)]
 
 
 @dataclass(slots=True)
@@ -144,11 +152,7 @@ class L2System:
         home = self._home_map.get(line)
         if home is not None:
             return home
-        # XOR-folded bank hash (as in real NUCA L2s): plain modulo maps
-        # power-of-two strides onto a couple of banks, serializing whole
-        # access waves behind two DRAM ports.
-        index = (line ^ (line >> 4) ^ (line >> 8)) % len(self._nodes)
-        return self._nodes[index]
+        return home_bank(line, self._nodes)
 
     def bank_for(self, line: int) -> L2Bank:
         return self.banks[self.home_node(line)]

@@ -8,6 +8,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.obs import metrics as S
+from repro.obs.metrics import record_resolution
 from repro.sim.coherence import PROTOCOLS
 from repro.sim.config import INTEGRATED, SystemConfig
 from repro.sim.consistency import MODELS, ConsistencyModel
@@ -22,14 +23,14 @@ from repro.sim.trace import Kernel, Phase
 #: grid-wide join), identical across configurations.
 GLOBAL_BARRIER_CYCLES = 200.0
 
-#: Execution engines: "auto" picks the numpy-lowered vectorized fast
-#: path when numpy is importable, the compiled fast path otherwise —
-#: unless a live tracer is attached (the fast paths carry no
-#: instrumentation, so tracing keeps the reference interpreter);
-#: "vectorized" / "compiled" / "reference" force the choice.  All three
-#: produce identical results — the reference interpreter is the oracle
-#: the fast paths are tested against.
-ENGINES = ("auto", "compiled", "vectorized", "reference")
+#: Execution engines: "auto" runs the compiled fast path
+#: (:mod:`repro.sim.compile`) where it is exact, and the reference
+#: interpreter otherwise — with a live tracer (the fast path carries no
+#: instrumentation), on a protocol other than GPU or DeNovo coherence,
+#: and on a trace with fractional statistics bumps; "reference" forces
+#: the interpreter.  Both produce identical results — the reference
+#: interpreter is the oracle the fast path is tested against.
+ENGINES = ("auto", "reference")
 
 CONFIG_ABBREV = {
     ("gpu", "drf0"): "GD0",
@@ -97,51 +98,32 @@ class System:
     def run(self, kernel: Kernel, engine: str = "auto", compiled=None) -> RunResult:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if engine == "auto":
-            if self.tracer.enabled:
-                engine = "reference"
-            else:
-                from repro.sim.vectorize import available
+        # Imported on first run: importing the simulator, as a sweep
+        # worker's set-up does, need not load the fast path.
+        from repro.sim.compile import compile_kernel, run_compiled, supports
 
-                engine = "vectorized" if available() else "compiled"
-        elif engine in ("compiled", "vectorized") and self.tracer.enabled:
-            # Live tracing keeps the instrumented interpreter: the fast
-            # steppers have no per-event emission points.
-            engine = "reference"
-        from repro.obs.metrics import record_resolution
+        fast = None
+        if engine == "auto" and not self.tracer.enabled and supports(self):
+            fast = compiled if compiled is not None else compile_kernel(kernel, self.config)
+            if not fast.batchable:
+                fast = None
+        record_resolution("sim_engine", "reference" if fast is None else "compiled")
+        if fast is not None:
+            cycles, phase_cycles = run_compiled(self, kernel, fast)
+        else:
+            cycles, phase_cycles = self._run_reference(kernel)
+        return RunResult(
+            workload=kernel.name,
+            protocol=self.protocol_name,
+            model=self.model.name,
+            cycles=cycles,
+            stats=self.stats,
+            phase_cycles=phase_cycles,
+        )
 
-        record_resolution("sim_engine", engine)
-        if engine in ("compiled", "vectorized"):
-            from repro.sim.compile import compile_kernel, run_compiled
-            from repro.sim.vectorize import (
-                VectorizedKernel, run_vectorized, vectorize_kernel,
-            )
-
-            # ``compiled`` may carry either fast form; each engine
-            # unwraps or lifts as needed, so callers can reuse one
-            # pre-built object across engines.
-            if engine == "vectorized":
-                if isinstance(compiled, VectorizedKernel):
-                    vectorized = compiled
-                else:
-                    if compiled is None:
-                        compiled = compile_kernel(kernel, self.config)
-                    vectorized = vectorize_kernel(compiled)
-                cycles, phase_cycles = run_vectorized(self, kernel, vectorized)
-            else:
-                if isinstance(compiled, VectorizedKernel):
-                    compiled = compiled.compiled
-                elif compiled is None:
-                    compiled = compile_kernel(kernel, self.config)
-                cycles, phase_cycles = run_compiled(self, kernel, compiled)
-            return RunResult(
-                workload=kernel.name,
-                protocol=self.protocol_name,
-                model=self.model.name,
-                cycles=cycles,
-                stats=self.stats,
-                phase_cycles=phase_cycles,
-            )
+    def _run_reference(self, kernel: Kernel) -> Tuple[float, Tuple[float, ...]]:
+        """The instrumented interpreter: the oracle, and the only engine
+        that emits trace events."""
         phase_times: List[float] = []
         clock = 0.0
         kernel_scope = self.tracer.scope(
@@ -157,14 +139,7 @@ class System:
             phase_times.append(end - clock)
             clock = end
         kernel_scope.close(clock)
-        return RunResult(
-            workload=kernel.name,
-            protocol=self.protocol_name,
-            model=self.model.name,
-            cycles=clock,
-            stats=self.stats,
-            phase_cycles=tuple(phase_times),
-        )
+        return clock, tuple(phase_times)
 
     def _run_phase(self, phase: Phase, start: float) -> float:
         loop = EventLoop()

@@ -159,6 +159,20 @@ class TestRetiredSpellings:
         ][field] == canonical
         assert answer(old) == answer(canonical)
 
+    @pytest.mark.parametrize("old", ["compiled", "vectorized"])
+    def test_old_sweep_engine_answers_like_auto(self, old):
+        """The two retired fast-path names of a sweep's ``engine``."""
+        def answer(value):
+            request = {
+                "schema_version": 1, "kind": "sweep", "id": "r",
+                "workloads": ["SC"], "scale": 0.05, "engine": value,
+            }
+            return encode(handle_request(request, cache=False))
+
+        request = {"schema_version": 1, "kind": "sweep", "workloads": ["SC"]}
+        assert validate_request(dict(request, engine=old))["engine"] == "auto"
+        assert answer(old) == answer("auto")
+
     def test_error_lists_only_canonical_values(self):
         with pytest.raises(SchemaError) as excinfo:
             validate_request(_check_request(options={"backend": "tiles"}))
