@@ -27,7 +27,7 @@ import sys
 from typing import Dict, List, Sequence
 
 #: Alternating base/head pairs per workload.
-PAIRS = 5
+PAIRS = 7
 
 
 def quartiles(values: Sequence[float]) -> List[float]:

@@ -50,6 +50,9 @@ from repro.api.schema import (
     salvage_identity,
     validate_request,
 )
+# The checker loads with the api, not on the first check: a served
+# request's pool workers fork with it already imported.
+from repro.core.model import Pipeline
 from repro.perf.cache import (
     SWEEP_CODE_PACKAGES,
     CacheSpec,
@@ -244,7 +247,6 @@ def execute_check_shards(
     consumes them.  Module-level, so the service ships it to a pool
     worker by reference.
     """
-    from repro.core.model import Pipeline
     from repro.obs.export import to_dicts
     from repro.obs.tracer import Tracer
 

@@ -68,6 +68,11 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+# The two facades define their engine tuples without loading the
+# checker or the simulator, so validating a request loads neither.
+from repro.core import ENGINES as CHECK_ENGINES
+from repro.sim import ENGINES
+
 #: Protocol version.  Part of every request and response; requests
 #: carrying any other value are rejected with ``unsupported_version``.
 SCHEMA_VERSION = 1
@@ -91,23 +96,18 @@ BACKENDS = ("auto", "dense", "pairs")
 #: backend evaluated the same bitset relations as ``dense``.
 BACKEND_ALIASES = {"numpy": "dense"}
 
-#: Valid ``engine`` values for sweep requests (mirrors
-#: ``repro.sim.system.ENGINES``).
-ENGINES = ("auto", "reference")
-
-#: Retired sweep ``engine`` spellings, normalised during validation:
-#: both named a fast path, and ``auto`` takes the one that is left.
+#: Retired sweep ``engine`` spellings (the valid ones are
+#: :data:`repro.sim.ENGINES`), normalised during validation: both named
+#: a fast path, and ``auto`` takes the one that is left.
 ENGINE_ALIASES = {"compiled": "auto", "vectorized": "auto"}
 
-#: Valid ``options.engine`` values for check/audit requests (mirrors
-#: ``repro.core.model.ENGINES``).  Added post-v1 as an optional field
-#: whose default, "enum", is the pre-existing behavior, so every old
-#: request stays valid and means what it always did; no version bump.
-CHECK_ENGINES = ("enum", "sat", "auto")
-
 #: Retired ``options.engine`` spellings, normalised during validation.
-#: The portfolio engine raced enum against sat and fell back to ``auto``
-#: routing wherever racing was unavailable.
+#: The valid ones are :data:`repro.core.ENGINES` (``CHECK_ENGINES``
+#: here), added post-v1 as an optional field whose default, "enum", is
+#: the pre-existing behavior, so every old request stays valid and means
+#: what it always did; no version bump.  The portfolio engine raced enum
+#: against sat and fell back to ``auto`` routing wherever racing was
+#: unavailable.
 CHECK_ENGINE_ALIASES = {"portfolio": "auto"}
 
 #: Error codes an ``ok: false`` response may carry.

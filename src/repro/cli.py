@@ -36,13 +36,13 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
+# The facades define the engine tuples without loading the checker or
+# the simulator, so parsing a command loads neither.
+from repro.core import ENGINES as CHECK_ENGINES
+from repro.sim import ENGINES as SIM_ENGINES
+
 #: Environment variable supplying the default ``--trace`` directory.
 TRACE_ENV = "REPRO_TRACE"
-
-#: ``--engine`` choices: :data:`repro.sim.system.ENGINES`, spelled out
-#: so that parsing a command does not import the simulator (a test pins
-#: the two equal).
-SIM_ENGINES = ("auto", "reference")
 
 
 def _shared_flags(
@@ -101,7 +101,7 @@ def _shared_flags(
 def _add_check_engine(parser: argparse.ArgumentParser) -> None:
     """The ``--check-engine`` flag of the verdict subcommands."""
     parser.add_argument(
-        "--check-engine", choices=("enum", "sat", "auto"),
+        "--check-engine", choices=CHECK_ENGINES,
         default="enum", metavar="E",
         help="model-checking engine: 'enum' walks every interleaving, "
              "'sat' enumerates execution classes with the CDCL solver, "

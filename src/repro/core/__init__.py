@@ -12,51 +12,29 @@ Public surface:
 - :func:`repro.core.quantum.quantum_equivalent` — the quantum transformation.
 """
 
-from repro.core.cat_export import listing7_cat
-from repro.core.executions import SCEnumeration, enumerate_sc_executions
-from repro.core.hrf import HrfCheckResult, check_hrf
-from repro.core.pretty import explain, format_execution
-from repro.core.herd_model import HerdModel
-from repro.core.labels import AtomicKind, effective_kind, is_atomic, is_relaxed
-from repro.core.model import CheckResult, check, check_all_models, classify_enumeration
-from repro.core.quantum import default_domain, quantum_equivalent
-from repro.core.races import Race, RaceAnalysis, race_signature, writes_commute
-from repro.core.relations import (
-    BACKENDS,
-    DenseRelation,
-    EventIndex,
-    Relation,
-    resolve_backend,
-)
-from repro.core.system_model import SystemModelReport, run_system_model
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AtomicKind",
-    "BACKENDS",
-    "CheckResult",
-    "DenseRelation",
-    "EventIndex",
-    "HerdModel",
-    "Race",
-    "RaceAnalysis",
-    "Relation",
-    "SCEnumeration",
-    "SystemModelReport",
-    "check",
-    "check_all_models",
-    "check_hrf",
-    "classify_enumeration",
-    "explain",
-    "format_execution",
-    "listing7_cat",
-    "default_domain",
-    "effective_kind",
-    "enumerate_sc_executions",
-    "is_atomic",
-    "is_relaxed",
-    "quantum_equivalent",
-    "race_signature",
-    "resolve_backend",
-    "run_system_model",
-    "writes_commute",
-]
+#: The checking engines ``check(engine=...)`` accepts.  ``"enum"`` is the
+#: explicit interleaving enumerator (the oracle), ``"sat"`` the
+#: solver-backed class enumerator (:mod:`repro.solver`), ``"auto"``
+#: routes each prepared program to whichever of the two the calibrated
+#: cost model (:mod:`repro.solver.router`) predicts faster.
+#: Defined here, not in :mod:`repro.core.model`, so that the CLI parser
+#: and the v1 request schema can name them without loading the checker.
+ENGINES = ("enum", "sat", "auto")
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.cat_export": ("listing7_cat",),
+    "repro.core.executions": ("SCEnumeration", "enumerate_sc_executions"),
+    "repro.core.herd_model": ("HerdModel",),
+    "repro.core.hrf": ("HrfCheckResult", "check_hrf"),
+    "repro.core.labels": ("AtomicKind", "effective_kind", "is_atomic", "is_relaxed"),
+    "repro.core.model": ("CheckResult", "check", "check_all_models", "classify_enumeration"),
+    "repro.core.pretty": ("explain", "format_execution"),
+    "repro.core.quantum": ("default_domain", "quantum_equivalent"),
+    "repro.core.races": ("Race", "RaceAnalysis", "race_signature", "writes_commute"),
+    "repro.core.relations": (
+        "BACKENDS", "DenseRelation", "EventIndex", "Relation", "resolve_backend",
+    ),
+    "repro.core.system_model": ("SystemModelReport", "run_system_model"),
+})

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core import ENGINES
 from repro.core.events import Event, Execution
 from repro.core.executions import SCEnumeration, enumerate_sc_executions
 from repro.core.labels import AtomicKind, effective_kind
@@ -40,13 +41,6 @@ from repro.litmus.program import Program
 from repro.obs.metrics import RUNTIME, metric, record_resolution
 
 MODELS = ("drf0", "drf1", "drfrlx")
-
-#: The checking engines ``check(engine=...)`` accepts.  ``"enum"`` is the
-#: explicit interleaving enumerator (the oracle), ``"sat"`` the
-#: solver-backed class enumerator (:mod:`repro.solver`), ``"auto"``
-#: routes each prepared program to whichever of the two the calibrated
-#: cost model (:mod:`repro.solver.router`) predicts faster.
-ENGINES = ("enum", "sat", "auto")
 
 #: model -> label map the model's preparation applies to every label
 #: (data maps to itself under every model).

@@ -45,6 +45,7 @@ from repro.perf.cache import (
     resolve_cache,
 )
 from repro.perf.pool import parallel_map
+from repro.sim import ENGINES
 from repro.sim.config import INTEGRATED, SystemConfig
 from repro.sim.system import CONFIG_ABBREV, RunResult, all_configurations, run_workload
 from repro.workloads.base import (
@@ -322,14 +323,12 @@ def run_sweep(
     are dispatched.  Tracing bypasses the cache.
 
     ``engine`` selects the simulator's execution engine (see
-    :data:`repro.sim.system.ENGINES`): ``"auto"`` takes the compiled
+    :data:`repro.sim.ENGINES`): ``"auto"`` takes the compiled
     fast path unless the cell is being traced, ``"reference"`` forces the
     instrumented interpreter.  Every engine produces identical
     observations — and therefore identical CSVs and figures — so the
     choice is purely a wall-clock one.
     """
-    from repro.sim.system import ENGINES
-
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     sweep = SweepResult()

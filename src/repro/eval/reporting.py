@@ -50,7 +50,7 @@ def generate_all(
     :data:`repro.perf.cache.CacheSpec`) serves already-simulated sweep
     cells from the on-disk result cache; cached and cold runs write
     byte-identical artifacts.  ``engine`` picks the simulator engine
-    for the sweeps (see :data:`repro.sim.system.ENGINES`); both engines
+    for the sweeps (see :data:`repro.sim.ENGINES`); both engines
     write byte-identical artifacts.
     """
     artifacts: Dict[str, str] = {}

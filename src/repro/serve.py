@@ -388,10 +388,16 @@ async def _handle_http(service: Service, reader, writer) -> None:
         if method == "GET":
             status, body = 200, encode(service.status())
         elif method == "POST":
-            length = int(headers.get("content-length") or 0)
-            raw = (await reader.readexactly(length)).decode("utf-8", "replace")
-            response = await service.try_submit(raw)
-            response = await response if asyncio.isfuture(response) else response
+            length = headers.get("content-length") or "0"
+            if length.isascii() and length.isdigit():
+                raw = (await reader.readexactly(int(length))).decode("utf-8", "replace")
+                response = await service.try_submit(raw)
+                response = await response if asyncio.isfuture(response) else response
+            else:
+                service.metrics.bump(SERVE_ERROR)
+                response = error_response(
+                    "malformed", f"Content-Length {length!r} is not a byte count"
+                )
             status, body = http_status(response), encode(response)
         else:
             status = 405

@@ -9,35 +9,24 @@ Entry points:
 - :mod:`repro.sim.trace` — the kernel/phase/warp-trace IR workloads emit.
 """
 
-from repro.sim.config import DISCRETE, INTEGRATED, SystemConfig, table2_rows
-from repro.sim.consistency import DRF0, DRF1, DRFRLX, ConsistencyModel, table4_rows
-from repro.sim.system import (
-    CONFIG_ABBREV,
-    RunResult,
-    System,
-    all_configurations,
-    run_workload,
-)
-from repro.sim.trace import Compute, Kernel, MemAccess, Phase, WaitAll
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CONFIG_ABBREV",
-    "Compute",
-    "ConsistencyModel",
-    "DISCRETE",
-    "DRF0",
-    "DRF1",
-    "DRFRLX",
-    "INTEGRATED",
-    "Kernel",
-    "MemAccess",
-    "Phase",
-    "RunResult",
-    "System",
-    "SystemConfig",
-    "WaitAll",
-    "all_configurations",
-    "run_workload",
-    "table2_rows",
-    "table4_rows",
-]
+#: Execution engines: "auto" runs the compiled fast path
+#: (:mod:`repro.sim.compile`) where it is exact, and the reference
+#: interpreter otherwise — with a live tracer (the fast path carries no
+#: instrumentation), on a protocol other than GPU or DeNovo coherence,
+#: and on a trace with fractional statistics bumps; "reference" forces
+#: the interpreter.  Both produce identical results — the reference
+#: interpreter is the oracle the fast path is tested against.
+#: Defined here, not in :mod:`repro.sim.system`, so that the CLI parser
+#: and the v1 request schema can name them without loading the simulator.
+ENGINES = ("auto", "reference")
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.config": ("DISCRETE", "INTEGRATED", "SystemConfig", "table2_rows"),
+    "repro.sim.consistency": ("DRF0", "DRF1", "DRFRLX", "ConsistencyModel", "table4_rows"),
+    "repro.sim.system": (
+        "CONFIG_ABBREV", "RunResult", "System", "all_configurations", "run_workload",
+    ),
+    "repro.sim.trace": ("Compute", "Kernel", "MemAccess", "Phase", "WaitAll"),
+})

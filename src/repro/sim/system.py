@@ -9,6 +9,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.obs import metrics as S
 from repro.obs.metrics import record_resolution
+from repro.sim import ENGINES
 from repro.sim.coherence import PROTOCOLS
 from repro.sim.config import INTEGRATED, SystemConfig
 from repro.sim.consistency import MODELS, ConsistencyModel
@@ -22,15 +23,6 @@ from repro.sim.trace import Kernel, Phase
 #: Fixed cost of a global barrier between phases (kernel relaunch /
 #: grid-wide join), identical across configurations.
 GLOBAL_BARRIER_CYCLES = 200.0
-
-#: Execution engines: "auto" runs the compiled fast path
-#: (:mod:`repro.sim.compile`) where it is exact, and the reference
-#: interpreter otherwise — with a live tracer (the fast path carries no
-#: instrumentation), on a protocol other than GPU or DeNovo coherence,
-#: and on a trace with fractional statistics bumps; "reference" forces
-#: the interpreter.  Both produce identical results — the reference
-#: interpreter is the oracle the fast path is tested against.
-ENGINES = ("auto", "reference")
 
 CONFIG_ABBREV = {
     ("gpu", "drf0"): "GD0",

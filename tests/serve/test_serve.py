@@ -210,6 +210,43 @@ class TestHttpTransport:
         assert health["queue_limit"] == DEFAULT_QUEUE_LIMIT
         assert health["metrics"].get("serve_request") == 2.0
 
+    @staticmethod
+    def _bad_length(length):
+        """POST with a ``Content-Length`` header of *length*; returns the
+        status, the response and the service's ``serve_error`` count."""
+        async def main():
+            service = Service(jobs=1, cache=False)
+            server = await run_http(service, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(
+                f"POST / HTTP/1.1\r\nHost: t\r\nContent-Length: {length}\r\n\r\n{{}}".encode()
+            )
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            errors = service.metrics.get("serve_error")
+            server.close()
+            await server.wait_closed()
+            await service.aclose()
+            return raw, errors
+
+        raw, errors = asyncio.run(main())
+        header, _, payload = raw.partition(b"\r\n\r\n")
+        return int(header.split()[1]), json.loads(payload), errors
+
+    def test_non_numeric_content_length_is_400_malformed(self):
+        status, response, errors = self._bad_length("abc")
+        assert status == 400
+        assert response["error"]["code"] == "malformed"
+        assert errors == 1.0
+
+    def test_negative_content_length_is_400_malformed(self):
+        status, response, errors = self._bad_length("-5")
+        assert status == 400
+        assert response["error"]["code"] == "malformed"
+        assert errors == 1.0
+
     def test_full_queue_is_429_busy(self):
         async def main():
             service = Service(jobs=1, cache=False, queue_limit=1)

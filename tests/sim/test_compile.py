@@ -14,8 +14,6 @@ them needs anything beyond the standard library.
 import pytest
 
 import repro.sim.system as system_mod
-from repro.api.schema import ENGINES as SCHEMA_ENGINES
-from repro.cli import SIM_ENGINES
 from repro.core.labels import AtomicKind
 from repro.eval.export import energy_csv, time_csv
 from repro.eval.harness import run_sweep
@@ -131,10 +129,6 @@ def test_system_rejects_unknown_engine():
     with pytest.raises(ValueError, match="engine"):
         System("gpu", "drf0", INTEGRATED).run(kernel, engine="jit")
     assert ENGINES == ("auto", "reference")
-    # The v1 schema and the CLI spell the same tuple out, so that
-    # neither has to import the simulator.
-    assert SCHEMA_ENGINES == ENGINES
-    assert SIM_ENGINES == ENGINES
 
 
 def test_live_tracer_forces_reference_fallback(monkeypatch):

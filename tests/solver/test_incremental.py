@@ -480,7 +480,7 @@ class TestSpeedup:
     #: Minimum shared-core speedup over one-shot solving, per audit set.
     TARGET = 2.0
     #: Interleaved one-shot/shared rounds; each side keeps its best.
-    REPEAT = 3
+    REPEAT = 5
 
     @pytest.mark.bench
     @pytest.mark.skipif(
