@@ -70,7 +70,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 # The two facades define their engine tuples without loading the
 # checker or the simulator, so validating a request loads neither.
-from repro.core import ENGINES as CHECK_ENGINES
+from repro.core import ENGINES as CHECK_ENGINES, RELATION_BACKENDS
 from repro.sim import ENGINES
 
 #: Protocol version.  Part of every request and response; requests
@@ -87,9 +87,8 @@ KINDS = ("check", "sweep", "audit", "batch")
 #: cell); split larger corpora across requests.
 MAX_BATCH_PROGRAMS = 10000
 
-#: Valid ``options.backend`` values for check/audit requests (mirrors
-#: ``repro.core.relations.resolve_backend``).
-BACKENDS = ("auto", "dense", "pairs")
+#: Valid ``options.backend`` values for check/audit requests.
+BACKENDS = RELATION_BACKENDS
 
 #: Retired ``options.backend`` spellings, normalised during validation so
 #: no code past :func:`validate_request` knows them.  The tiled numpy

@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence
 
 # The facades define the engine tuples without loading the checker or
 # the simulator, so parsing a command loads neither.
-from repro.core import ENGINES as CHECK_ENGINES
+from repro.core import ENGINES as CHECK_ENGINES, RELATION_BACKENDS
 from repro.sim import ENGINES as SIM_ENGINES
 
 #: Environment variable supplying the default ``--trace`` directory.
@@ -88,7 +88,7 @@ def _shared_flags(
              "exact. Both produce identical results",
     )
     shared.add_argument(
-        "--relation-backend", choices=("auto", "dense", "pairs"),
+        "--relation-backend", choices=RELATION_BACKENDS,
         default=None, metavar="B",
         help="relation representation for the model checkers: 'dense' "
              "bitsets, 'pairs' frozensets (the oracle), 'auto' (default) "

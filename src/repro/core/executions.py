@@ -10,17 +10,13 @@ execution.
 
 Two engines produce the same execution set:
 
-* The **default engine** applies sleep-set-style partial-order reduction
-  (adjacent independent operations are only explored in canonical thread
-  order), shares immutable path prefixes copy-on-write instead of deep
-  cloning the whole search state at every branch, and memoizes canonical
-  ``(thread states, memory)`` search states: when two different schedules
-  of *dependent* operations re-converge to the same state (e.g. two
-  threads storing the same value, or commuting increment/decrement
-  pairs), the second arrival replays the recorded completion schedules
-  of the first subtree linearly instead of re-branching through it.
-  :attr:`SCEnumeration.stats` reports how much work each mechanism
-  saved.
+* The **default engine** (``"por"``) applies sleep-set partial-order
+  reduction (adjacent independent operations are only explored in
+  canonical thread order) and shares immutable path prefixes
+  copy-on-write instead of deep cloning the whole search state at every
+  branch.  Every program takes it, however small.
+  :attr:`SCEnumeration.stats` reports how many branches the reduction
+  pruned.
 * The **naive engine** (``naive=True``) is the original exhaustive
   interleaver with per-step full-state clones.  It is kept as the oracle
   for the equivalence tests (``tests/core/test_enumeration_equivalence.py``).
@@ -85,7 +81,6 @@ class _ThreadState:
         self.pending_ctrl: FrozenSet[int] = frozenset()
         self.done = False
         self.mem_count = 0  # po_index generator for this thread's events
-        self.ckey: Optional[Tuple] = None  # cached canonical key (memo)
 
     def clone(self) -> "_ThreadState":
         other = _ThreadState.__new__(_ThreadState)
@@ -96,7 +91,6 @@ class _ThreadState:
         other.pending_ctrl = self.pending_ctrl
         other.done = self.done
         other.mem_count = self.mem_count
-        other.ckey = None  # the clone is about to be mutated
         return other
 
     def advance(self) -> None:
@@ -302,11 +296,11 @@ class EnumStats:
 
     ``steps`` counts executed memory operations (search-tree edges);
     ``por_pruned`` counts scheduling branches skipped by the partial-order
-    reduction; ``memo_hits`` counts re-converging states collapsed by the
-    canonical-state memo.  The naive engine reports zeros for both.
+    reduction (0 under the naive engine).  ``memo_hits`` always reads 0;
+    it stays while the benchmark's replay still reads it.
     """
 
-    engine: str = "por+memo"
+    engine: str = "por"
     steps: int = 0
     completed_paths: int = 0
     por_pruned: int = 0
@@ -336,7 +330,7 @@ class SCEnumeration:
 
 
 # ---------------------------------------------------------------------------
-# Optimized engine: POR + copy-on-write prefixes + canonical-state memo.
+# Default engine: sleep-set POR + copy-on-write prefixes.
 # ---------------------------------------------------------------------------
 
 
@@ -363,38 +357,23 @@ class _Node:
 
 
 class _Ctx:
-    """Small mutable per-path state, copied on branch.
+    """Small mutable per-path state, copied on branch."""
 
-    ``ekey`` maps eids (which depend on interleaving order) to canonical
-    :meth:`Event.key` tuples; it only matters to the re-convergence
-    memo's canonical state keys, so its maintenance is skipped entirely
-    when ``track`` is off.
-    """
+    __slots__ = ("memory", "last_writer", "next_eid")
 
-    __slots__ = ("memory", "last_writer", "ekey", "next_eid", "track")
-
-    def __init__(self, memory, last_writer, ekey, next_eid, track):
+    def __init__(self, memory, last_writer, next_eid):
         self.memory = memory  # loc -> value
         self.last_writer = last_writer  # loc -> write eid
-        self.ekey = ekey  # eid -> Event.key() (canonical, path-independent)
         self.next_eid = next_eid
-        self.track = track  # maintain ekey for the memo?
 
     def branch(self) -> "_Ctx":
-        return _Ctx(
-            dict(self.memory),
-            dict(self.last_writer),
-            dict(self.ekey) if self.track else self.ekey,
-            self.next_eid,
-            self.track,
-        )
+        return _Ctx(dict(self.memory), dict(self.last_writer), self.next_eid)
 
 
 def _apply_op(
     state: _ThreadState, ctx: _Ctx, choice: Tuple, parent: _Node
-) -> Tuple[_Node, str, bool]:
-    """Execute the pending op against *ctx*; returns the new path node plus
-    the accessed location and whether the op was a pure read (for POR)."""
+) -> _Node:
+    """Execute the pending op against *ctx*; returns the new path node."""
     instr = state.pending
     assert instr is not None
     state.pending = None
@@ -403,8 +382,6 @@ def _apply_op(
     loc, addr_taint = instr.loc.resolve(state.regs)
     if loc not in ctx.memory:
         ctx.memory[loc] = 0
-
-    track = ctx.track
 
     def deps(eid: int, data_taint: FrozenSet[int] = frozenset()) -> Tuple:
         return (
@@ -420,8 +397,6 @@ def _apply_op(
         event = Event(eid, state.tid, "R", loc, read_value, instr.kind, state.mem_count)
         state.mem_count += 1
         writer = ctx.last_writer.get(loc)
-        if track:
-            ctx.ekey[eid] = event.key()
         addr_e, data_e, ctrl_e = deps(eid)
         result = choice[0] if instr.havoc else read_value
         state.regs[instr.dst] = Value(result, frozenset({eid}))
@@ -438,8 +413,6 @@ def _apply_op(
         ctx.next_eid += 1
         event = Event(eid, state.tid, "W", loc, stored.val, instr.kind, state.mem_count)
         state.mem_count += 1
-        if track:
-            ctx.ekey[eid] = event.key()
         ctx.last_writer[loc] = eid
         addr_e, data_e, ctrl_e = deps(eid, stored.taint)
         ctx.memory[loc] = stored.val
@@ -455,8 +428,6 @@ def _apply_op(
         r_event = Event(r_eid, state.tid, "R", loc, old, instr.kind, state.mem_count)
         state.mem_count += 1
         writer = ctx.last_writer.get(loc)
-        if track:
-            ctx.ekey[r_eid] = r_event.key()
 
         if instr.havoc:
             returned, new_value = choice
@@ -470,8 +441,6 @@ def _apply_op(
         ctx.next_eid += 1
         w_event = Event(w_eid, state.tid, "W", loc, new_value, instr.kind, state.mem_count)
         state.mem_count += 1
-        if track:
-            ctx.ekey[w_eid] = w_event.key()
         ctx.last_writer[loc] = w_eid
         op_name = "exch" if instr.havoc else instr.op
         info = RmwInfo(op_name, operand_val, operand2.val if operand2 else None)
@@ -489,9 +458,7 @@ def _apply_op(
         )
     else:
         raise LitmusError(f"not a memory instruction: {instr!r}")
-
-    pure_read = isinstance(instr, Load)
-    return node, loc, pure_read
+    return node
 
 
 def _chain(node: _Node) -> List[_Node]:
@@ -581,96 +548,26 @@ def _materialize(
     )
 
 
-def _canon_taint(taint: FrozenSet[int], ekey: Dict[int, Tuple]) -> Tuple:
-    """Taints hold eids, which depend on interleaving order; map them to
-    canonical event keys so re-converging paths compare equal."""
-    if not taint:
-        return ()
-    if len(taint) == 1:
-        (t,) = taint
-        return (ekey[t],)
-    return tuple(sorted((ekey[t] for t in taint), key=repr))
-
-
-def _state_key(state: _ThreadState, ekey: Dict[int, Tuple]) -> Tuple:
-    """Canonical key of one thread state, cached on the state object.
-
-    The cache stays valid when the state is shared between branches: all
-    sharers extend the same path prefix, and an eid's canonical key is
-    fixed once assigned, so the ``ekey`` entries this key depends on never
-    change.
-    """
-    if state.ckey is None:
-        state.ckey = (
-            state.tid,
-            state.done,
-            state.mem_count,
-            id(state.pending) if state.pending is not None else None,
-            _canon_taint(state.pending_ctrl, ekey),
-            tuple(
-                sorted(
-                    (name, v.val, _canon_taint(v.taint, ekey))
-                    for name, v in state.regs.items()
-                )
-            ),
-            tuple(
-                (id(f.body), f.idx, _canon_taint(f.ctrl, ekey),
-                 id(f.loop) if f.loop is not None else None, f.iters)
-                for f in state.frames
-            ),
-        )
-    return state.ckey
-
-
 def _independent(op: Tuple[int, str, bool], loc: str, pure_read: bool) -> bool:
     """Two memory ops commute iff they touch different locations or are
     both pure reads (loads; RMWs count as writes)."""
     return loc != op[1] or (pure_read and op[2])
 
 
-class _MemoEntry:
-    """Recorded completions of one fully explored search node.
-
-    ``sleep`` is the sleep set the subtree was explored under;
-    ``suffixes`` are the ``(tid, choice)`` schedules of every completed
-    path out of it.  A later node with an equal canonical state and a
-    sleep set that is a **superset** of ``sleep`` needs at most these
-    schedules (sleep sets only ever prune more as they grow), so it can
-    replay them linearly instead of re-branching; any surplus schedules
-    it would itself have pruned re-derive executions already covered
-    elsewhere and fall to the leaf-key dedup.
-    """
-
-    __slots__ = ("sleep", "suffixes")
-
-    def __init__(self, sleep: FrozenSet[Tuple[int, str, bool]]):
-        self.sleep = sleep
-        self.suffixes: List[Tuple[Tuple[int, Tuple], ...]] = []
-
-
 def _enumerate_por(
     program: Program,
     max_executions: Optional[int],
-    memo_enabled: Optional[bool] = None,
     tracer: Tracer = NULL_TRACER,
 ) -> SCEnumeration:
-    if memo_enabled is None:
-        # Re-convergence needs two schedules of *dependent* operations to
-        # land in the same state (commuting RMW pairs, equal-value
-        # stores...), which takes at least two threads; below that the
-        # memo is pure bookkeeping overhead.
-        memo_enabled = len(program.threads) >= 2
-    stats = EnumStats(engine="por+memo" if memo_enabled else "por")
+    stats = EnumStats(engine="por")
     root_events: List[Event] = []
-    ctx = _Ctx({}, {}, {}, 0, memo_enabled)
+    ctx = _Ctx({}, {}, 0)
     for idx, loc in enumerate(program.locations()):
         val = program.initial_value(loc)
         eid = ctx.next_eid
         ctx.next_eid += 1
         event = Event(eid, -1, "W", loc, val, AtomicKind.DATA, idx, is_init=True)
         root_events.append(event)
-        if memo_enabled:
-            ctx.ekey[eid] = event.key()
         ctx.last_writer[loc] = eid
         ctx.memory[loc] = val
     root = _Node(None, tuple(root_events), (), None, None, (), (), ())
@@ -686,40 +583,25 @@ def _enumerate_por(
         return SCEnumeration(program, (), 1, 0, stats)
 
     seen: Set[Tuple] = set()
-    # Canonical (thread states, memory) -> memo entries recorded there.
-    # Keys deliberately exclude event ids / writer identities: branching
-    # behavior from a state depends only on thread states and memory
-    # values, and replay re-executes ops against the *hitting* path's
-    # context, so its executions carry its own (correct) rf/co.
-    memo: Dict[Tuple, List[_MemoEntry]] = {}
     executions: List[Execution] = []
     trace_on = tracer.enabled
     enum_scope = tracer.scope(f"enumerate:{program.name}", cycle=0.0, component="enum")
 
-    # Entries: (thread states, ctx, path node, sleep set, schedule,
-    # anchors).  A sleep-set entry (tid, loc, pure-read) records a thread
-    # whose pending op was already explored at an ancestor node and
-    # commutes with everything executed since: scheduling it now would
-    # re-derive an execution the sibling subtree already covers
-    # (Godefroid-style sleep sets).  ``sched`` is the (tid, choice)
-    # schedule from the root; ``anchors`` are (memo entry, schedule
-    # depth) pairs for every ancestor that recorded an entry, so each
-    # completed leaf registers its suffix with all of them.
+    # Entries: (thread states, ctx, path node, sleep set).  A sleep-set
+    # entry (tid, loc, pure-read) records a thread whose pending op was
+    # already explored at an ancestor node and commutes with everything
+    # executed since: scheduling it now would re-derive an execution the
+    # sibling subtree already covers (Godefroid-style sleep sets).
     Sleep = FrozenSet[Tuple[int, str, bool]]
-    Sched = Tuple[Tuple[int, Tuple], ...]
-    Anchors = Tuple[Tuple[_MemoEntry, int], ...]
-    stack: List[Tuple[List[_ThreadState], _Ctx, _Node, Sleep, Sched, Anchors]] = [
-        (states, ctx, root, frozenset(), (), ())
+    stack: List[Tuple[List[_ThreadState], _Ctx, _Node, Sleep]] = [
+        (states, ctx, root, frozenset())
     ]
 
-    stop = False
-    while stack and not stop:
-        states, ctx, node, sleep, sched, anchors = stack.pop()
+    while stack:
+        states, ctx, node, sleep = stack.pop()
         runnable = [s for s in states if s.pending is not None]
         if not runnable:
             stats.completed_paths += 1
-            for entry, depth in anchors:
-                entry.suffixes.append(sched[depth:])
             chain = _chain(node)
             key = _leaf_key(chain, states)
             if key not in seen:
@@ -738,81 +620,6 @@ def _enumerate_por(
                     path=stats.completed_paths,
                 )
             continue
-
-        if memo_enabled:
-            state_key = (
-                tuple(_state_key(s, ctx.ekey) for s in states),
-                tuple(sorted(ctx.memory.items())),
-            )
-            hit: Optional[_MemoEntry] = None
-            for entry in memo.get(state_key, ()):
-                # Equal canonical keys imply equal search depth (every
-                # step bumps a mem_count), so the recorded node is not an
-                # ancestor of this one and — DFS — its subtree is already
-                # complete.  The subset check keeps the replay sound: a
-                # smaller recorded sleep explored at least everything
-                # this node would.
-                if entry.sleep <= sleep:
-                    hit = entry
-                    break
-            if hit is not None:
-                stats.memo_hits += 1
-                if trace_on:
-                    tracer.emit(
-                        stats.steps, "enum", "memo_hit",
-                        suffixes=len(hit.suffixes),
-                    )
-                for suffix in hit.suffixes:
-                    rstates = [s.clone() for s in states]
-                    rctx = ctx.branch()
-                    rnode = node
-                    completed = True
-                    for tid, choice in suffix:
-                        target = rstates[tid]
-                        rnode, loc, _ = _apply_op(target, rctx, choice, rnode)
-                        stats.steps += 1
-                        if trace_on:
-                            tracer.emit(
-                                stats.steps, "enum", "step",
-                                tid=tid, loc=loc, depth=rctx.next_eid,
-                            )
-                        try:
-                            target.advance()
-                        except _Truncated:  # equal states replay equally
-                            truncated += 1  # pragma: no cover
-                            completed = False  # pragma: no cover
-                            break  # pragma: no cover
-                    if not completed:  # pragma: no cover
-                        continue
-                    stats.completed_paths += 1
-                    for entry, depth in anchors:
-                        entry.suffixes.append(sched[depth:] + suffix)
-                    chain = _chain(rnode)
-                    key = _leaf_key(chain, rstates)
-                    if key not in seen:
-                        seen.add(key)
-                        executions.append(_materialize(chain, rctx.memory, rstates))
-                        if trace_on:
-                            tracer.emit(
-                                stats.steps, "enum", "execution",
-                                distinct=len(executions),
-                                path=stats.completed_paths,
-                            )
-                        if (
-                            max_executions is not None
-                            and len(executions) >= max_executions
-                        ):
-                            stop = True
-                            break
-                    elif trace_on:
-                        tracer.emit(
-                            stats.steps, "enum", "duplicate_path",
-                            path=stats.completed_paths,
-                        )
-                continue
-            entry = _MemoEntry(sleep)
-            memo.setdefault(state_key, []).append(entry)
-            anchors = anchors + ((entry, len(sched)),)
 
         sleeping_tids = {op[0] for op in sleep}
         explored: List[Tuple[int, str, bool]] = []
@@ -835,7 +642,7 @@ def _enumerate_por(
             for choice in state.choices():
                 new_ctx = ctx.branch()
                 target = state.clone()
-                new_node, _, _ = _apply_op(target, new_ctx, choice, node)
+                new_node = _apply_op(target, new_ctx, choice, node)
                 stats.steps += 1
                 if trace_on:
                     tracer.emit(
@@ -848,10 +655,7 @@ def _enumerate_por(
                     truncated += 1
                     continue
                 new_states = [target if s.tid == state.tid else s for s in states]
-                stack.append((
-                    new_states, new_ctx, new_node, child_sleep,
-                    sched + ((state.tid, choice),), anchors,
-                ))
+                stack.append((new_states, new_ctx, new_node, child_sleep))
             explored.append((state.tid, loc, pure_read))
 
     enum_scope.close(stats.steps)
@@ -971,15 +775,6 @@ def _enumerate_naive(
     )
 
 
-#: Programs whose static step bound (see :func:`static_step_bound`) is at
-#: most this take the naive interleaver when the caller does not force an
-#: engine: with a handful of memory operations the whole interleaving
-#: space is a few dozen schedules, and the POR sleep-set / memo
-#: bookkeeping costs more than it prunes (timed per program, the tiny
-#: corpus tests ran slower under the reduction than without it).
-SMALL_PROGRAM_STEPS = 4
-
-
 def _body_step_bound(body) -> int:
     """Upper bound on the memory operations one pass of *body* executes."""
     total = 0
@@ -997,14 +792,13 @@ def _body_step_bound(body) -> int:
 
 def static_step_bound(program: Program) -> int:
     """Static bound on the memory operations any execution of *program*
-    performs (loops weighted by their unrolling bound).  This is the
-    size measure behind the small-program fast path: it is cheap, purely
-    syntactic, and monotone in the interleaving space the enumerator
-    would have to search.
+    performs (loops weighted by their unrolling bound).  It is cheap,
+    purely syntactic, and monotone in the interleaving space the
+    enumerator would have to search; the router, the batch scheduler and
+    the SAT encoder use it as a size measure.
 
     The bound is memoized on the (frozen, immutable) program instance,
-    so the gate in :func:`enumerate_sc_executions` and the router's
-    feature extraction re-walk each program's AST at most once.
+    so each program's AST is walked at most once.
     """
     cached = program.__dict__.get("_step_bound")
     if cached is None:
@@ -1017,7 +811,6 @@ def enumerate_sc_executions(
     program: Program,
     max_executions: Optional[int] = None,
     naive: bool = False,
-    memo: Optional[bool] = None,
     tracer: Optional[Tracer] = None,
     cache=None,
     backend: Optional[str] = None,
@@ -1027,18 +820,11 @@ def enumerate_sc_executions(
     ``max_executions`` bounds the number of distinct executions collected
     (a safety valve for property tests); ``None`` means exhaustive.
     ``naive=True`` selects the original full-clone interleaver — the
-    oracle used by equivalence tests.
-    ``memo`` forces the re-convergence memo on or off; the default
-    (``None``) enables it for multi-threaded programs (a perf-attribution
-    knob; it never changes the execution set).
-    Under engine defaults (``naive=False``, ``memo=None``), programs
-    whose :func:`static_step_bound` is at most
-    :data:`SMALL_PROGRAM_STEPS` take the naive interleaver regardless:
-    for tiny litmus tests the POR/memo machinery costs more than it
-    prunes, and both engines produce the same execution set.
-    ``tracer`` records one event per search step / POR prune / memo hit
-    / distinct execution ("cycle" is the step count); the default is the
-    no-op tracer.
+    oracle used by equivalence tests; every other call takes the POR
+    engine.
+    ``tracer`` records one event per search step / POR prune / duplicate
+    path / distinct execution ("cycle" is the step count); the default is
+    the no-op tracer.
     ``cache`` is accepted and ignored: enumerations are not cached on
     disk (only results are; see :mod:`repro.perf.cache`).
     ``backend`` stamps the relation backend on every returned execution
@@ -1046,18 +832,8 @@ def enumerate_sc_executions(
     set.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
-    if naive or (memo is None and static_step_bound(program) <= SMALL_PROGRAM_STEPS):
-        # The small-program gate applies under engine defaults only: a
-        # caller forcing ``memo`` has asked for the reduction machinery
-        # and gets it regardless of size.  Both engines produce the same
-        # execution set (tests/core/test_enumeration_equivalence.py
-        # asserts it), so the gate is invisible
-        # except in wall clock.
-        result = _enumerate_naive(program, max_executions, tracer=tracer)
-    else:
-        result = _enumerate_por(
-            program, max_executions, memo_enabled=memo, tracer=tracer
-        )
+    engine = _enumerate_naive if naive else _enumerate_por
+    result = engine(program, max_executions, tracer=tracer)
     if backend is not None:
         for ex in result.executions:
             ex.set_backend(backend)

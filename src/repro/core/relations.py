@@ -45,12 +45,13 @@ from typing import (
     Tuple,
 )
 
+from repro.core import RELATION_BACKENDS
+
 Pair = Tuple[Hashable, Hashable]
 
-#: Backend names accepted everywhere a ``backend=`` parameter appears.
-PAIRS_BACKEND = "pairs"
-DENSE_BACKEND = "dense"
-BACKENDS = (DENSE_BACKEND, PAIRS_BACKEND)
+#: The concrete backends; ``"auto"`` resolves to one of them.
+BACKENDS = RELATION_BACKENDS[1:]
+DENSE_BACKEND, PAIRS_BACKEND = BACKENDS
 
 #: ``auto`` leaves the single-int-row dense backend above this universe
 #: size: beyond it the rows stop fitting comfortably in machine words,
@@ -69,10 +70,10 @@ def resolve_backend(
     :func:`repro.obs.metrics.record_resolution`.
     """
     choice = "auto" if backend is None else backend
-    if choice != "auto" and choice not in BACKENDS:
+    if choice not in RELATION_BACKENDS:
         raise ValueError(
             f"unknown relation backend {choice!r}; "
-            f"allowed values: {', '.join(BACKENDS + ('auto',))}"
+            f"allowed values: {', '.join(RELATION_BACKENDS)}"
         )
     if choice == "auto":
         if n_elements is not None and n_elements > DENSE_MAX_ELEMENTS:

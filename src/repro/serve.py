@@ -400,6 +400,7 @@ async def _handle_http(service: Service, reader, writer) -> None:
                 )
             status, body = http_status(response), encode(response)
         else:
+            service.metrics.bump(SERVE_ERROR)
             status = 405
             body = encode(error_response("malformed", f"method {method} not allowed"))
         writer.write(_http_payload(status, body))

@@ -31,6 +31,25 @@ class TestResolveBackend:
                 assert allowed in message
 
 
+def test_backend_choices_are_defined_once():
+    """The facade's tuple is the one the request schema, the CLI flag and
+    :func:`resolve_backend` accept."""
+    from repro import cli
+    from repro.api import schema
+    from repro.core import RELATION_BACKENDS
+
+    assert RELATION_BACKENDS == ("auto", "dense", "pairs")
+    assert BACKENDS == RELATION_BACKENDS[1:]
+    assert schema.BACKENDS is RELATION_BACKENDS
+    (flag,) = [
+        action for action in cli._shared_flags()._actions
+        if "--relation-backend" in action.option_strings
+    ]
+    assert flag.choices is RELATION_BACKENDS
+    for name in RELATION_BACKENDS:
+        assert resolve_backend(name) in BACKENDS
+
+
 class TestWithoutNumpy:
     @pytest.fixture
     def no_numpy(self, monkeypatch):

@@ -1,11 +1,13 @@
-"""The optimized enumeration engine against the naive oracle.
+"""The POR enumeration engine against the naive oracle.
 
 The default engine (sleep-set partial-order reduction + copy-on-write
-path prefixes + canonical-state memo) must produce exactly the same
-execution set as the original full-clone interleaver on every program we
-have — the litmus library, the on-disk corpus and a few stress programs
-— under every memo setting.  ``naive=True`` is the escape hatch that
-selects the oracle.
+path prefixes) must produce exactly the same execution set as the
+original full-clone interleaver on every program we have: the litmus
+library, the on-disk corpus, a few stress programs and a slice of a fuzz
+campaign.  Every program takes the reduction, however small, so the
+tiny fuzz programs meet the oracle here execution by execution, not
+only verdict by verdict as in the fuzz campaign.  ``naive=True`` is the
+escape hatch that selects the oracle.
 """
 
 import pytest
@@ -14,6 +16,7 @@ from repro.core.executions import enumerate_sc_executions
 from repro.core.model import check
 from repro.litmus import load, store
 from repro.litmus.corpus import load_corpus
+from repro.litmus.fuzz import generate_program
 from repro.litmus.library import all_tests
 from repro.litmus.program import Program
 
@@ -37,7 +40,14 @@ STRESS = [
         [store("z0", 1), store("z1", 1), store("z2", 1)],
     ])),
 ]
-ALL_PROGRAMS = LIBRARY + CORPUS + STRESS
+#: A slice of fuzz campaign 17: small random programs over threads,
+#: locations, the five relaxed-atomic classes, branches and RMWs.
+FUZZ = [(p.name, p) for p in (generate_program(17, i) for i in range(60))]
+ALL_PROGRAMS = LIBRARY + CORPUS + STRESS + FUZZ
+
+#: Library programs whose threads commute through *dependent* operations
+#: (quantum RMW increment/decrement pairs on one location).
+RECONVERGING = ("ref_counter", "ref_counter_data_mark")
 
 
 def _summary(enum):
@@ -58,19 +68,11 @@ def test_default_engine_matches_naive_oracle(name, program):
     assert opt.stats.completed_paths <= naive.stats.completed_paths
 
 
-@pytest.mark.parametrize(
-    "name,program", ALL_PROGRAMS, ids=[n for n, _ in ALL_PROGRAMS]
-)
-@pytest.mark.parametrize("memo", [True, False])
-def test_memo_knob_does_not_change_results(name, program, memo):
-    naive = enumerate_sc_executions(program, naive=True)
-    opt = enumerate_sc_executions(program, memo=memo)
-    assert _summary(opt) == _summary(naive)
-
-
 def test_reduction_actually_prunes():
     """On the whole library the reduction must explore strictly fewer
-    paths than the naive engine (otherwise it is dead code)."""
+    paths than the naive engine (otherwise it is dead code), and take
+    fewer steps even on programs whose schedules re-converge through
+    dependent operations."""
     naive_paths = opt_paths = pruned = 0
     for _, program in ALL_PROGRAMS:
         naive_paths += enumerate_sc_executions(program, naive=True).stats.completed_paths
@@ -79,13 +81,17 @@ def test_reduction_actually_prunes():
         pruned += opt.stats.por_pruned
     assert opt_paths < naive_paths
     assert pruned > 0
+    for name in RECONVERGING:
+        program = dict(LIBRARY)[name]
+        opt = enumerate_sc_executions(program)
+        assert opt.stats.steps < enumerate_sc_executions(program, naive=True).stats.steps
 
 
 def test_stats_engine_labels():
+    for _, program in ALL_PROGRAMS:
+        assert enumerate_sc_executions(program).stats.engine == "por"
     _, program = ALL_PROGRAMS[0]
     assert enumerate_sc_executions(program, naive=True).stats.engine == "naive"
-    assert enumerate_sc_executions(program, memo=False).stats.engine == "por"
-    assert enumerate_sc_executions(program, memo=True).stats.engine == "por+memo"
 
 
 def test_max_executions_still_bounds():

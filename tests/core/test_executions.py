@@ -100,19 +100,14 @@ class TestInterleavings:
         enum = enumerate_sc_executions(p, naive=True)
         assert len(enum.executions) == 1  # same events/rf/co either way
         assert enum.interleavings == 2
-        # Forcing the reduction machinery (any explicit ``memo``) makes
-        # partial-order reduction explore only the canonical one of the
-        # two equivalent orderings.
-        por = enumerate_sc_executions(p, memo=False)
-        assert len(por.executions) == 1
-        assert por.interleavings == 1
-        assert por.stats.por_pruned == 1
-        # At 2 static steps the program sits under the small-program
-        # threshold, so the default engine takes the cheap naive path.
+        # The default engine's partial-order reduction explores only the
+        # canonical one of the two equivalent orderings, even on a
+        # program this small.
         default = enumerate_sc_executions(p)
+        assert default.stats.engine == "por"
         assert len(default.executions) == 1
-        assert default.interleavings == 2
-        assert default.stats.por_pruned == 0
+        assert default.interleavings == 1
+        assert default.stats.por_pruned == 1
 
     def test_conflicting_writers_two_coherence_orders(self):
         p = Program("p", [[store("x", 1)], [store("x", 2)]])
@@ -260,9 +255,10 @@ def test_rmw_pairs_adjacent_in_t(program):
 
 
 class TestSmallProgramGate:
-    """Tiny programs skip the POR/memo machinery by default: the static
-    step bound routes them to the cheap naive path (the reduction's
-    bookkeeping costs more than it saves below a handful of steps)."""
+    """Small programs: the static step bound (the size measure of the
+    router, the batch scheduler and the SAT encoder), and the default
+    engine on programs of a handful of steps, which takes the reduction
+    like any other program."""
 
     def test_static_step_bound_straight_line(self):
         from repro.core.executions import static_step_bound
@@ -291,30 +287,28 @@ class TestSmallProgramGate:
         )
         assert static_step_bound(p) == 6
 
-    def test_small_default_is_naive_large_default_reduces(self):
-        from repro.core.executions import SMALL_PROGRAM_STEPS, static_step_bound
+    def test_small_and_large_defaults_both_reduce(self):
+        from repro.core.executions import static_step_bound
 
         small = Program("mp", [
             [store("data", 1), store("flag", 1)],
             [load("r0", "flag"), load("r1", "data")],
         ])
-        assert static_step_bound(small) <= SMALL_PROGRAM_STEPS
+        assert static_step_bound(small) == 4
         enum = enumerate_sc_executions(small)
-        assert enum.stats.por_pruned == 0 and enum.stats.memo_hits == 0
+        assert enum.stats.engine == "por"
+        assert enum.stats.memo_hits == 0
+        tiny = Program("p", [[store("x", 1)], [store("y", 1)]])
+        assert enumerate_sc_executions(tiny).stats.por_pruned == 1
 
         large = Program("mp3", [
             [store("data", 1), store("flag", 1)],
             [load("r0", "flag"), load("r1", "data")],
             [store("z0", 1), store("z1", 1)],
         ])
-        assert static_step_bound(large) > SMALL_PROGRAM_STEPS
         enum = enumerate_sc_executions(large)
+        assert enum.stats.engine == "por"
         assert enum.stats.por_pruned > 0
-
-    def test_explicit_memo_overrides_the_gate(self):
-        p = Program("p", [[store("x", 1)], [store("y", 1)]])
-        enum = enumerate_sc_executions(p, memo=False)
-        assert enum.stats.por_pruned == 1  # reduction ran despite 2 steps
 
     def test_gated_path_agrees_with_reduction(self):
         programs = [
@@ -332,8 +326,8 @@ class TestSmallProgramGate:
         ]
         for p in programs:
             default = enumerate_sc_executions(p)
-            reduced = enumerate_sc_executions(p, memo=True)
+            oracle = enumerate_sc_executions(p, naive=True)
             assert (
                 {e.canonical_key() for e in default.executions}
-                == {e.canonical_key() for e in reduced.executions}
+                == {e.canonical_key() for e in oracle.executions}
             ), p.name

@@ -247,6 +247,23 @@ class TestHttpTransport:
         assert response["error"]["code"] == "malformed"
         assert errors == 1.0
 
+    def test_other_method_is_405_and_counted(self):
+        async def main():
+            service = Service(jobs=1, cache=False)
+            server = await run_http(service, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            put = await self._request(port, "", method="PUT", path="/")
+            health = await self._request(port, "", method="GET", path="/healthz")
+            server.close()
+            await server.wait_closed()
+            await service.aclose()
+            return put, health
+
+        (status, response), (_, health) = asyncio.run(main())
+        assert status == 405
+        assert response["error"]["code"] == "malformed"
+        assert health["metrics"].get("serve_error") == 1.0
+
     def test_full_queue_is_429_busy(self):
         async def main():
             service = Service(jobs=1, cache=False, queue_limit=1)
