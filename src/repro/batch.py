@@ -96,14 +96,17 @@ def _check_bin(task) -> List[Tuple[int, CheckResult]]:
     """Check one bin of (result slot, program) pairs against every
     model through one fresh pipeline; the pool worker entry point."""
     items, models, options = task
-    pipeline = Pipeline(**options)
     out: List[Tuple[int, CheckResult]] = []
     with _gc_paused():
+        pipeline = Pipeline(**options)
         for count, (slot, program) in enumerate(items, 1):
             for offset, result in enumerate(pipeline.check_models(program, models)):
                 out.append((slot + offset, result))
             if count % _GC_EVERY == 0:
                 gc.collect(0)
+        # Drop the bin's memos before the sweep on leaving, so that it
+        # scans what they leave behind rather than walking them live.
+        del pipeline
     RUNTIME.bump(BATCH_CHECKS, len(out))
     return out
 

@@ -24,6 +24,11 @@ the corpus audit and :func:`repro.batch.check_many` — runs its
 enumerate (or solve) → classify.  A pipeline's memos share work between
 the cells of one call and die with it; nothing is kept for the life of
 the process.
+
+The pipeline classifies with the one-pass race kernel
+(:mod:`repro.core.race_kernel`); :func:`classify_enumeration` runs the
+oracle, :class:`repro.core.races.RaceAnalysis`, and so do ``naive=True``
+and ``backend="pairs"``.
 """
 
 from __future__ import annotations
@@ -35,8 +40,11 @@ from repro.core import ENGINES
 from repro.core.events import Event, Execution
 from repro.core.executions import SCEnumeration, enumerate_sc_executions
 from repro.core.labels import AtomicKind, effective_kind
+from repro.core.paths import Operation
 from repro.core.quantum import quantum_equivalent
+from repro.core.race_kernel import race_pools
 from repro.core.races import Race, RaceAnalysis, race_signature
+from repro.core.relations import PAIRS_BACKEND, resolve_backend
 from repro.litmus.program import Program
 from repro.obs.metrics import RUNTIME, metric, record_resolution
 
@@ -178,9 +186,10 @@ def classify_enumeration(
 
     Returns ``(witnesses, execution_classes, analyses_run)`` (a
     :class:`ClassifiedRaces`, which also carries the uncapped
-    ``race_kinds`` union).  This is the unshared classifier: the
-    ``naive=True`` oracle's last stage, and the reference the
-    :class:`Pipeline`'s call-wide classifier must match.
+    ``race_kinds`` union).  This is the unshared classifier over
+    :class:`repro.core.races.RaceAnalysis`: the ``naive=True`` oracle's
+    last stage, and the reference the :class:`Pipeline`'s call-wide
+    race-kernel classifier must match.
 
     ``dedup=True`` projects each execution to its race-relevant
     signature (:func:`repro.core.races.race_signature`) and analyzes one
@@ -358,9 +367,10 @@ class Pipeline:
       structure) and traced checks (whose tracer records the prepared
       program's search) enumerate the prepared program instead,
       memoized per prepared structure.
-    - **Classification** is memoized per (enumeration, achievable
-      illegal classes), and the per-signature race pools are shared
-      across all the call's enumerations (:meth:`_classify`).
+    - **Classification** runs the race kernel, is memoized per
+      (enumeration, achievable illegal classes), and the per-signature
+      race pools are shared across all the call's enumerations
+      (:meth:`_classify`).
 
     ``naive=True`` bypasses every memo: the oracle prepares, enumerates
     with the naive interleaver and runs :func:`classify_enumeration`.
@@ -383,6 +393,7 @@ class Pipeline:
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+        resolve_backend(backend)  # rejects an unknown name before any work
         self.engine = engine
         self.naive = naive
         self.max_executions = max_executions
@@ -404,9 +415,10 @@ class Pipeline:
         #: shared event-key interning: signatures are only comparable
         #: under one intern dict (see :func:`repro.core.races.race_signature`)
         self.sig_intern: Dict[Tuple, int] = {}
-        #: (signature, class) -> that class's race pool
+        #: (signature, class) -> (operations, that class's pool of
+        #: operation-index pairs); see :func:`repro.core.race_kernel.race_pools`
         self.race_memo: Dict[Tuple, Tuple] = {}
-        #: (signature, classes) -> the concatenated pools
+        #: (signature, classes) -> the concatenated pools (see :meth:`_combine`)
         self.race_combined: Dict[Tuple, Tuple] = {}
 
     def check_models(self, program: Program,
@@ -518,36 +530,39 @@ class Pipeline:
 
     def _classify(self, enumeration: SCEnumeration, model: str,
                   classes: Tuple[str, ...]) -> ClassifiedRaces:
-        """Race-classify with the per-signature work shared call-wide.
+        """Race-classify with the one-pass kernel, the per-signature work
+        shared call-wide.
 
         :func:`classify_enumeration` already deduplicates executions by
         :func:`repro.core.races.race_signature`, whose contract is that
         signature-equal executions have *identical, printed identically*
         race analyses.  The same contract holds across enumerations
         under one shared intern dict, so the pipeline keeps one
-        ``(signature, classes) -> races`` memo: tiny random programs
+        ``(signature, class) -> pool`` memo: tiny random programs
         collide on signatures constantly (the same handful of message-
         passing / store-buffering shapes under different names and
-        thread orders), and each shape's analysis runs once per call
-        instead of once per program.
+        thread orders), and each shape's pools are computed once per
+        call instead of once per program.
 
-        The accounting matches ``classify_enumeration`` with
-        ``dedup=True``: ``n_classes`` and ``analyses_run`` both equal the
-        number of distinct signatures *within this enumeration*,
-        however many were served from the memo.  Non-default modes
-        (``dedup=False``, ``exhaustive=False``) change that accounting,
-        so they use the stock classifier.
+        Pools come from :func:`repro.core.race_kernel.race_pools` as
+        operation-index pairs; :class:`Race` objects are built only for
+        the witnesses a cell keeps (at most ``max_witnesses``).  The
+        result is byte-identical to :func:`classify_enumeration` with
+        ``dedup=True``, including its accounting: ``n_classes`` and
+        ``analyses_run`` both equal the number of distinct signatures
+        *within this enumeration*, however many were served from the
+        memo.  Non-default modes (``dedup=False``, ``exhaustive=False``)
+        change that accounting, and the ``pairs`` backend asks for the
+        oracle's relation objects, so those run the stock classifier.
         """
-        if not self.dedup or not self.exhaustive:
+        if not self.dedup or not self.exhaustive or self.backend == PAIRS_BACKEND:
             return classify_enumeration(
                 enumeration, model, max_witnesses=self.max_witnesses,
                 backend=self.backend, dedup=self.dedup,
                 exhaustive=self.exhaustive,
             )
-        backend = self.backend
         max_witnesses = self.max_witnesses
         intern = self.sig_intern
-        memo = self.race_memo
         combined = self.race_combined
         witnesses: List[RaceWitness] = []
         class_ids: Dict[Tuple, int] = {}
@@ -568,36 +583,50 @@ class Pipeline:
             class_ids.setdefault(sig, len(class_ids))
             # Repeated signatures are the common case (that is what the
             # checker's dedup exploits), so the per-execution hot path is
-            # a single lookup of the concatenated result.  On miss,
-            # ``illegal_races(classes)`` is reproduced byte-for-byte from
-            # its definition — the per-class pools concatenated in class
-            # order — with each pool memoized per (sig, class) so models
-            # with overlapping class sets share them: drfrlx reuses the
-            # "data" pool drf0/drf1 already computed.
-            races = combined.get((sig, classes))
-            if races is None:
-                races_list: List = []
-                analysis = None
-                for cls in classes:
-                    pool = memo.get((sig, cls))
-                    if pool is None:
-                        if analysis is None:
-                            execution.set_backend(backend)
-                            analysis = RaceAnalysis(execution)
-                        pool = memo[(sig, cls)] = analysis.illegal_races((cls,))
-                    races_list.extend(pool)
-                races = combined[(sig, classes)] = tuple(races_list)
-            if races:
-                kinds_seen.update(race.kind for race in races)
-                for race in races:
-                    if len(witnesses) < max_witnesses:
-                        witnesses.append(RaceWitness(idx, race))
-                    else:
-                        break
+            # a single lookup of the concatenated result.  On a miss the
+            # pools are concatenated in class order, as
+            # ``illegal_races(classes)`` does, each memoized per
+            # (sig, class) so models with overlapping class sets share
+            # them: drfrlx reuses the "data" pool drf0/drf1 computed.
+            entry = combined.get((sig, classes))
+            if entry is None:
+                entry = combined[(sig, classes)] = self._combine(
+                    execution, sig, classes
+                )
+            kinds, pairs, races = entry
+            if kinds:
+                kinds_seen.update(kinds)
+                for k in range(min(len(pairs), max_witnesses - len(witnesses))):
+                    race = races[k]
+                    if race is None:
+                        kind, ops, first, second = pairs[k]
+                        race = races[k] = Race(
+                            kind, Operation(ops[first]), Operation(ops[second])
+                        )
+                    witnesses.append(RaceWitness(idx, race))
         n_classes = len(class_ids)
         return ClassifiedRaces(
             tuple(witnesses), n_classes, n_classes, tuple(sorted(kinds_seen))
         )
+
+    def _combine(self, execution: Execution, sig: Tuple,
+                 classes: Tuple[str, ...]) -> Tuple:
+        """``(kinds, pairs, races)`` of one signature: the race kinds
+        found, the concatenated pools as ``(kind, ops, first, second)``
+        entries, and a slot per entry for its :class:`Race`, which
+        :meth:`_classify` builds the first time a witness shows it."""
+        memo = self.race_memo
+        missing = tuple(cls for cls in classes if (sig, cls) not in memo)
+        if missing:
+            ops, pools = race_pools(execution, missing)
+            for cls, pool in zip(missing, pools):
+                memo[(sig, cls)] = (ops, pool)
+        pairs: List[Tuple] = []
+        for cls in classes:
+            ops, pool = memo[(sig, cls)]
+            pairs.extend((cls, ops, first, second) for first, second in pool)
+        kinds = tuple(cls for cls in classes if memo[(sig, cls)][1])
+        return kinds, pairs, [None] * len(pairs)
 
 
 def check(

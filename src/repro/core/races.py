@@ -4,6 +4,15 @@
 All classification is done at *operation* granularity (an RMW is one
 operation), matching the paper's terminology; happens-before-1 is computed
 at event granularity and lifted.
+
+:class:`RaceAnalysis` is the oracle: it states each definition over
+operation objects, relations and :class:`repro.core.paths.OperationGraph`,
+and :func:`repro.core.model.classify_enumeration` runs it.  The checking
+pipeline classifies with :mod:`repro.core.race_kernel` instead, which
+decides the same classes on bitmask rows with no code shared beyond the
+value types (:class:`Race`) and the write semantics of
+:func:`write_effects_commute`.  :func:`race_signature` keys the memos of
+both.
 """
 
 from __future__ import annotations
@@ -69,12 +78,10 @@ class Race:
 _COMMUTE_PROBES = (-3, -1, 0, 1, 2, 3, 5, 8, 1 << 16, (1 << 16) - 1)
 
 
-def _write_effect(op: Operation, info: Optional[RmwInfo]):
-    """Return f(M) -> M' for the write half of *op*, or None for loads."""
-    if not op.has_write:
-        return None
+def _write_effect(value: int, info: Optional[RmwInfo]):
+    """Return f(M) -> M' for a write of *value*, or of an RMW whose
+    semantics *info* holds."""
     if info is None:
-        value = op.write_event.value
         return lambda m: value
     return lambda m: _apply_rmw(info, m)
 
@@ -102,6 +109,28 @@ def _apply_rmw(info: RmwInfo, old: int) -> int:
     raise AssertionError(op)
 
 
+def write_effects_commute(
+    value_a: int,
+    info_a: Optional[RmwInfo],
+    value_b: int,
+    info_b: Optional[RmwInfo],
+) -> bool:
+    """Whether two writes to one location, each a store of its value or
+    an RMW with its :class:`RmwInfo`, leave the same value in either
+    order, over a probe set of memory values."""
+    f = _write_effect(value_a, info_a)
+    g = _write_effect(value_b, info_b)
+    probes = set(_COMMUTE_PROBES)
+    for info in (info_a, info_b):
+        if info is not None:
+            probes.add(info.operand)
+            if info.operand2 is not None:
+                probes.add(info.operand2)
+    probes.add(value_a)
+    probes.add(value_b)
+    return all(f(g(m)) == g(f(m)) for m in probes)
+
+
 def writes_commute(
     op_a: Operation,
     op_b: Operation,
@@ -119,17 +148,10 @@ def writes_commute(
         return False
     if op_a.loc != op_b.loc:
         return True  # different locations never interfere
-    f = _write_effect(op_a, rmw_info.get(op_a.write_event.eid))
-    g = _write_effect(op_b, rmw_info.get(op_b.write_event.eid))
-    probes = set(_COMMUTE_PROBES)
-    for info in (rmw_info.get(op_a.write_event.eid), rmw_info.get(op_b.write_event.eid)):
-        if info is not None:
-            probes.add(info.operand)
-            if info.operand2 is not None:
-                probes.add(info.operand2)
-    probes.add(op_a.write_event.value)
-    probes.add(op_b.write_event.value)
-    return all(f(g(m)) == g(f(m)) for m in probes)
+    wa, wb = op_a.write_event, op_b.write_event
+    return write_effects_commute(
+        wa.value, rmw_info.get(wa.eid), wb.value, rmw_info.get(wb.eid)
+    )
 
 
 class RaceAnalysis:

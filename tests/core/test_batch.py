@@ -235,3 +235,56 @@ def test_fast_path_verdicts_match_the_naive_oracle(engine):
             oracle = check(program, model, naive=True)
             assert (fast.legal, fast.race_kinds) == \
                 (oracle.legal, oracle.race_kinds), (program.name, model)
+
+
+def test_sweep_runs_after_the_pipeline_is_gone(monkeypatch):
+    """The sweep on leaving a bin scans what the bin's memos leave
+    behind, not the memos themselves: the pipeline is released first."""
+    import repro.batch as batch_module
+
+    pipelines = []
+    alive_at_sweep = []
+
+    class Recorded(model_module.Pipeline):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pipelines.append(weakref.ref(self))
+
+    real_collect = gc.collect
+
+    def collect(*args):
+        alive_at_sweep.append([ref() is not None for ref in pipelines])
+        return real_collect(*args)
+
+    monkeypatch.setattr(batch_module, "Pipeline", Recorded)
+    monkeypatch.setattr(gc, "collect", collect)
+    was_enabled = gc.isenabled()
+    gc.enable()  # the bin sweeps only when it paused a running collector
+    try:
+        results = list(check_many(generate(59, 4), jobs=1))
+    finally:
+        if not was_enabled:
+            gc.disable()
+    assert results and len(pipelines) == 1
+    assert alive_at_sweep == [[False]]
+
+
+def test_default_pipeline_never_builds_the_oracle(monkeypatch):
+    """Under default options the checker classifies with the race
+    kernel alone; ``classify_enumeration`` still runs the oracle."""
+    from repro.core.paths import OperationGraph
+    from repro.core.races import RaceAnalysis
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built on the fast path")
+
+    monkeypatch.setattr(RaceAnalysis, "__init__", refuse)
+    monkeypatch.setattr(OperationGraph, "__init__", refuse)
+    programs = list(_corpus_programs()) + generate(61, 40)
+    results = list(check_many(programs, jobs=1))
+    assert len(results) == len(programs) * len(MODELS)
+    assert any(not result.legal for result in results)
+    program = get_litmus("mp_data").program
+    enumeration = enumerate_sc_executions(_prepare(program, "drf0"))
+    with pytest.raises(AssertionError, match="RaceAnalysis built"):
+        classify_enumeration(enumeration, "drf0")

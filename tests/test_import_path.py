@@ -77,6 +77,13 @@ def test_cli_parser_loads_neither_half():
     assert "repro.core.model" not in loaded
 
 
+def test_checker_loads_the_race_kernel_on_import():
+    """A checking entry point loads the checker when it is imported, not
+    on its first check; the race kernel is part of it."""
+    assert "repro.core.race_kernel" in loaded_after("repro.core.model")
+    assert "repro.core.race_kernel" not in loaded_after(SIM_PATH)
+
+
 def test_api_loads_the_checker_up_front():
     """Served pool workers fork from an interpreter that already holds
     the checker; deferring it would move its start-up into requests."""
