@@ -258,7 +258,6 @@ def execute_check_shards(
         return Pipeline(
             engine=options["engine"],
             max_executions=options["max_executions"],
-            backend=options["backend"],
             dedup=options["dedup"],
             exhaustive=options["exhaustive"],
             tracer=tracer,
@@ -308,7 +307,6 @@ def execute_shard(shard: Dict[str, Any]) -> Dict[str, Any]:
             engine=options["engine"],
             jobs=1,  # shards are the parallelism unit; amortize inside
             max_executions=options["max_executions"],
-            backend=options["backend"],
             dedup=options["dedup"],
             exhaustive=options["exhaustive"],
         ))
@@ -347,8 +345,7 @@ def execute_shard(shard: Dict[str, Any]) -> Dict[str, Any]:
 
         options = shard["options"]
         result = _audit_file(
-            (shard["path"], options["backend"], options["dedup"],
-             options["engine"])
+            (shard["path"], options["dedup"], options["engine"])
         )
         # solver_stats rides along only for sat-engine checks, so the
         # payload for enum audits (every pre-existing fixture) is
@@ -583,7 +580,6 @@ def check_program(
     source: Optional[str] = None,
     models: Optional[Sequence[str]] = None,
     *,
-    backend: Optional[str] = None,
     dedup: bool = True,
     exhaustive: bool = True,
     max_executions: Optional[int] = None,
@@ -609,7 +605,6 @@ def check_program(
         "id": request_id,
         "program": {"name": name} if name is not None else {"source": source},
         "options": {
-            "backend": backend,
             "dedup": dedup,
             "exhaustive": exhaustive,
             "max_executions": max_executions,
@@ -626,7 +621,6 @@ def check_batch(
     programs: Sequence[Dict[str, str]],
     models: Optional[Sequence[str]] = None,
     *,
-    backend: Optional[str] = None,
     dedup: bool = True,
     exhaustive: bool = True,
     max_executions: Optional[int] = None,
@@ -653,7 +647,6 @@ def check_batch(
         "id": request_id,
         "programs": list(programs),
         "options": {
-            "backend": backend,
             "dedup": dedup,
             "exhaustive": exhaustive,
             "max_executions": max_executions,
@@ -689,7 +682,6 @@ def run_sweep_request(
 
 def audit_request(
     *,
-    backend: Optional[str] = None,
     dedup: bool = True,
     engine: str = "enum",
     cache: CacheSpec = None,
@@ -702,7 +694,7 @@ def audit_request(
         "schema_version": 1,
         "kind": "audit",
         "id": request_id,
-        "options": {"backend": backend, "dedup": dedup, "engine": engine},
+        "options": {"dedup": dedup, "engine": engine},
     }
     return handle_request(request, cache=cache, jobs=jobs)
 

@@ -70,7 +70,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 # The two facades define their engine tuples without loading the
 # checker or the simulator, so validating a request loads neither.
-from repro.core import ENGINES as CHECK_ENGINES, RELATION_BACKENDS
+from repro.core import ENGINES as CHECK_ENGINES
 from repro.sim import ENGINES
 
 #: Protocol version.  Part of every request and response; requests
@@ -87,13 +87,17 @@ KINDS = ("check", "sweep", "audit", "batch")
 #: cell); split larger corpora across requests.
 MAX_BATCH_PROGRAMS = 10000
 
-#: Valid ``options.backend`` values for check/audit requests.
-BACKENDS = RELATION_BACKENDS
+#: The one ``options.backend`` value of check, batch and audit requests.
+#: The checker has one relation representation, so the field selects
+#: nothing; it stays in the normalized options, where old clients and
+#: the benchmark replay read it.
+BACKENDS = ("auto",)
 
 #: Retired ``options.backend`` spellings, normalised during validation so
-#: no code past :func:`validate_request` knows them.  The tiled numpy
-#: backend evaluated the same bitset relations as ``dense``.
-BACKEND_ALIASES = {"numpy": "dense"}
+#: no code past :func:`validate_request` knows them.  Each named a
+#: relation representation (the tiled numpy bitsets, the dense bitsets,
+#: the pair-set oracle); every one computed the same verdicts.
+BACKEND_ALIASES = {"dense": "auto", "pairs": "auto", "numpy": "auto"}
 
 #: Retired sweep ``engine`` spellings (the valid ones are
 #: :data:`repro.sim.ENGINES`), normalised during validation: both named

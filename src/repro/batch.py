@@ -172,7 +172,8 @@ def check_many(
     ``jobs`` follows :func:`repro.perf.pool.resolve_jobs`; with one
     worker the whole batch is one bin checked in-process, with more the
     bins go to the warm executor.  ``cache`` is accepted and ignored
-    (see the module docstring).
+    (see the module docstring), and so is ``backend``: relations have
+    one representation (:class:`repro.core.relations.DenseRelation`).
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -187,7 +188,6 @@ def check_many(
         "naive": naive,
         "max_executions": max_executions,
         "max_witnesses": max_witnesses,
-        "backend": backend,
         "dedup": dedup,
         "exhaustive": exhaustive,
     }

@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence
 
 # The facades define the engine tuples without loading the checker or
 # the simulator, so parsing a command loads neither.
-from repro.core import ENGINES as CHECK_ENGINES, RELATION_BACKENDS
+from repro.core import ENGINES as CHECK_ENGINES
 from repro.sim import ENGINES as SIM_ENGINES
 
 #: Environment variable supplying the default ``--trace`` directory.
@@ -86,14 +86,6 @@ def _shared_flags(
              "compiled fast path, or the instrumented 'reference' "
              "interpreter when tracing or when the fast path cannot be "
              "exact. Both produce identical results",
-    )
-    shared.add_argument(
-        "--relation-backend", choices=RELATION_BACKENDS,
-        default=None, metavar="B",
-        help="relation representation for the model checkers: 'dense' "
-             "bitsets, 'pairs' frozensets (the oracle), 'auto' (default) "
-             "picks dense for litmus-sized universes. Verdicts are "
-             "identical either way",
     )
     return shared
 
@@ -159,7 +151,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     from repro.api import audit_request, encode
 
     response = audit_request(
-        backend=args.relation_backend,
         engine=args.check_engine,
         cache=_cli_cache(args, default=True),
         jobs=args.jobs,
@@ -260,7 +251,6 @@ def cmd_litmus(args: argparse.Namespace) -> int:
     response = check_program(
         name=args.name,
         models=[args.model] if args.model else None,
-        backend=args.relation_backend,
         engine=args.check_engine,
         cache=_cli_cache(args, default=False),
         jobs=args.jobs,

@@ -23,13 +23,6 @@ from repro._lazy import lazy_exports
 #: and the v1 request schema can name them without loading the checker.
 ENGINES = ("enum", "sat", "auto")
 
-#: The relation backends a caller may name (``backend=``, the v1
-#: ``options.backend``, ``--relation-backend``): ``"auto"`` picks one per
-#: program (:func:`repro.core.relations.resolve_backend`), and the rest
-#: are the concrete backends, :data:`repro.core.relations.BACKENDS`.
-#: Defined here for the same reason as :data:`ENGINES`.
-RELATION_BACKENDS = ("auto", "dense", "pairs")
-
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.cat_export": ("listing7_cat",),
     "repro.core.executions": ("SCEnumeration", "enumerate_sc_executions"),
@@ -40,8 +33,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.pretty": ("explain", "format_execution"),
     "repro.core.quantum": ("default_domain", "quantum_equivalent"),
     "repro.core.races": ("Race", "RaceAnalysis", "race_signature", "writes_commute"),
-    "repro.core.relations": (
-        "BACKENDS", "DenseRelation", "EventIndex", "Relation", "resolve_backend",
-    ),
+    "repro.core.relations": ("DenseRelation", "EventIndex", "Relation"),
     "repro.core.system_model": ("SystemModelReport", "run_system_model"),
 })

@@ -15,13 +15,7 @@ from repro.core.util import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.labels import AtomicKind, is_atomic
-from repro.core.relations import (
-    DENSE_BACKEND,
-    DenseRelation,
-    EventIndex,
-    Relation,
-    resolve_backend,
-)
+from repro.core.relations import DenseRelation, EventIndex
 
 
 @dataclass(frozen=True)
@@ -103,8 +97,9 @@ class RmwInfo:
 class Execution:
     """A complete SC execution with its derived relations.
 
-    Relations are exposed as :class:`~repro.core.relations.Relation`
-    objects over :class:`Event` instances and computed lazily.
+    Relations are exposed as :class:`~repro.core.relations.DenseRelation`
+    objects over :class:`Event` instances (dense ids are positions in
+    T) and computed lazily.
     """
 
     def __init__(
@@ -117,11 +112,7 @@ class Execution:
         final_memory: Mapping[str, int],
         final_registers: Sequence[Mapping[str, int]],
         rmw_info: Optional[Mapping[int, RmwInfo]] = None,
-        backend: Optional[str] = None,
     ):
-        #: Relation backend ("dense" | "pairs" | None for auto); see
-        #: :func:`repro.core.relations.resolve_backend`.
-        self._backend = backend
         self.events: Tuple[Event, ...] = tuple(events)
         self.by_eid: Dict[int, Event] = {e.eid: e for e in self.events}
         #: eids in SC total order T (initial writes first).
@@ -137,45 +128,17 @@ class Execution:
         #: write-event eid -> RMW semantics, for the commutativity check.
         self.rmw_info: Dict[int, RmwInfo] = dict(rmw_info or {})
 
-    # -- relation backend ------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """The resolved relation backend of this execution's relations."""
-        return resolve_backend(
-            getattr(self, "_backend", None), len(self.events)
-        )
-
+    # -- relation factory ------------------------------------------------------
     @cached_property
     def dense_index(self) -> EventIndex:
         """Interned dense ids for this execution's events (T order)."""
         return EventIndex(self.by_eid[eid] for eid in self.order)
 
-    def relation(self, pairs: Iterable[Tuple[Event, Event]] = ()):
-        """Build a relation over this execution's events in the resolved
-        backend — the factory every derived relation goes through."""
-        if self.backend == DENSE_BACKEND:
-            return self.dense_index.relation(pairs)
-        return Relation(pairs)
-
-    #: Lazily computed attributes invalidated by a backend switch.
-    #: (``observed_reads`` and ``dense_index`` are absent on purpose:
-    #: their values are backend-independent, so they survive switches.)
-    _RELATION_CACHES = (
-        "po", "rf", "co", "fr", "rmw", "com",
-        "addr", "data", "ctrl", "deps",
-        "conflict", "conflict_order",
-    )
-
-    def set_backend(self, backend: Optional[str]) -> None:
-        """Select the relation backend, dropping any relations already
-        materialized (they may belong to the other backend).  A no-op
-        when the backend is unchanged, so repeated selection keeps the
-        relation caches warm."""
-        if backend == self._backend:
-            return
-        self._backend = backend
-        for name in self._RELATION_CACHES:
-            self.__dict__.pop(name, None)
+    def relation(
+        self, pairs: Iterable[Tuple[Event, Event]] = ()
+    ) -> DenseRelation:
+        """Build a relation over this execution's events from pairs."""
+        return self.dense_index.relation(pairs)
 
     # -- event sets ----------------------------------------------------------
     @cached_property
@@ -202,8 +165,7 @@ class Execution:
     @cached_property
     def _so1_eid_pairs(self) -> Tuple[Tuple[int, int], ...]:
         """Synchronization-order edges as eid pairs (see
-        :attr:`repro.core.races.RaceAnalysis.so1`).  Backend-independent,
-        so it survives backend switches and is computed once per
+        :attr:`repro.core.races.RaceAnalysis.so1`), computed once per
         execution."""
         from repro.core.labels import SYNC_READ_KINDS, SYNC_WRITE_KINDS
 
@@ -233,8 +195,7 @@ class Execution:
 
     @cached_property
     def _po_threads(self) -> Tuple[Tuple[Event, ...], ...]:
-        """Program events grouped per thread, in program-text order.
-        Backend-independent, so both ``po`` backends share it."""
+        """Program events grouped per thread, in program-text order."""
         by_thread: Dict[int, List[Event]] = {}
         for e in self.program_events:
             by_thread.setdefault(e.tid, []).append(e)
@@ -242,53 +203,44 @@ class Execution:
             evs.sort(key=lambda e: e.po_index)
         return tuple(tuple(evs) for evs in by_thread.values())
 
+    def _chain_rows(self, chains: Iterable[Sequence[Event]]) -> List[int]:
+        """Bitmask rows ordering each chain's events, earlier before every
+        later one (a strict total order per chain, none across chains).
+        Dense ids are positions in T, so no per-pair Event hashing."""
+        pos = self._order_pos
+        rows = [0] * len(self.order)
+        for chain in chains:
+            mask_later = 0
+            for e in reversed(chain):
+                i = pos[e.eid]
+                rows[i] |= mask_later
+                mask_later |= 1 << i
+        return rows
+
     # -- base relations --------------------------------------------------------
     @cached_property
-    def po(self) -> Relation:
+    def po(self) -> DenseRelation:
         """Program order: same thread, program-text order (transitive)."""
-        threads = self._po_threads
-        if self.backend == DENSE_BACKEND:
-            # Build the successor rows directly: an event's row is the
-            # mask of its thread's later events (dense ids are positions
-            # in T, so no per-pair Event hashing).
-            pos = self._order_pos
-            rows = [0] * len(self.order)
-            for evs in threads:
-                mask_later = 0
-                for e in reversed(evs):
-                    i = pos[e.eid]
-                    rows[i] |= mask_later
-                    mask_later |= 1 << i
-            return DenseRelation(self.dense_index, rows)
-        pairs = []
-        for evs in threads:
-            for i, a in enumerate(evs):
-                for b in evs[i + 1:]:
-                    pairs.append((a, b))
-        return Relation(pairs)
+        return DenseRelation(self.dense_index, self._chain_rows(self._po_threads))
 
-    def _relation_from_eid_pairs(self, eid_pairs) -> Relation:
-        """Relation from (eid, eid) pairs; dense rows are written directly
-        from T positions, skipping per-pair Event hashing."""
-        if self.backend == DENSE_BACKEND:
-            pos = self._order_pos
-            rows = [0] * len(self.order)
-            for a, b in eid_pairs:
-                rows[pos[a]] |= 1 << pos[b]
-            return DenseRelation(self.dense_index, rows)
-        return Relation(
-            (self.by_eid[a], self.by_eid[b]) for a, b in eid_pairs
-        )
+    def _relation_from_eid_pairs(self, eid_pairs) -> DenseRelation:
+        """Relation from (eid, eid) pairs; rows are written directly from
+        T positions, skipping per-pair Event hashing."""
+        pos = self._order_pos
+        rows = [0] * len(self.order)
+        for a, b in eid_pairs:
+            rows[pos[a]] |= 1 << pos[b]
+        return DenseRelation(self.dense_index, rows)
 
     @cached_property
-    def rf(self) -> Relation:
+    def rf(self) -> DenseRelation:
         """Reads-from: (store, load) pairs, including from initial writes."""
         return self._relation_from_eid_pairs(
             (w, r) for r, w in self._rf_map.items()
         )
 
     @cached_property
-    def co(self) -> Relation:
+    def co(self) -> DenseRelation:
         """Coherence: total order on writes to each location (T restricted),
         with the location's initial write first."""
         per_loc: Dict[str, List[Event]] = {}
@@ -296,40 +248,25 @@ class Execution:
             e = self.by_eid[eid]
             if e.is_write:
                 per_loc.setdefault(e.loc, []).append(e)
-        if self.backend == DENSE_BACKEND:
-            pos = self._order_pos
-            rows = [0] * len(self.order)
-            for writes in per_loc.values():
-                mask_later = 0
-                for e in reversed(writes):
-                    i = pos[e.eid]
-                    rows[i] |= mask_later
-                    mask_later |= 1 << i
-            return DenseRelation(self.dense_index, rows)
-        pairs = []
-        for writes in per_loc.values():
-            for i, a in enumerate(writes):
-                for b in writes[i + 1:]:
-                    pairs.append((a, b))
-        return Relation(pairs)
+        return DenseRelation(self.dense_index, self._chain_rows(per_loc.values()))
 
     @cached_property
-    def fr(self) -> Relation:
+    def fr(self) -> DenseRelation:
         """From-reads: ``rf^-1 ; co`` (a read before the writes that
         overwrite what it read)."""
         return self.rf.inverse().compose(self.co)
 
     @cached_property
-    def rmw(self) -> Relation:
+    def rmw(self) -> DenseRelation:
         return self._relation_from_eid_pairs(self._rmw_pairs)
 
     @cached_property
-    def com(self) -> Relation:
+    def com(self) -> DenseRelation:
         """Communication relation ``rf | co | fr``."""
         return self.rf | self.co | self.fr
 
     # -- dependency relations ---------------------------------------------------
-    def _dep_relation(self, name: str) -> Relation:
+    def _dep_relation(self, name: str) -> DenseRelation:
         by_eid = self.by_eid
         return self._relation_from_eid_pairs(
             (a, b)
@@ -338,19 +275,19 @@ class Execution:
         )
 
     @cached_property
-    def addr(self) -> Relation:
+    def addr(self) -> DenseRelation:
         return self._dep_relation("addr")
 
     @cached_property
-    def data(self) -> Relation:
+    def data(self) -> DenseRelation:
         return self._dep_relation("data")
 
     @cached_property
-    def ctrl(self) -> Relation:
+    def ctrl(self) -> DenseRelation:
         return self._dep_relation("ctrl")
 
     @cached_property
-    def deps(self) -> Relation:
+    def deps(self) -> DenseRelation:
         """``addr | data | ctrl`` — how a loaded value is "observed"."""
         return self.addr | self.data | self.ctrl
 
@@ -361,7 +298,7 @@ class Execution:
 
         Computed straight from the dependency edges — equivalent to
         ``deps.successors(e)`` being non-empty, without materializing the
-        addr/data/ctrl relations (and therefore backend-independent)."""
+        addr/data/ctrl relations."""
         by_eid = self.by_eid
         sources = {
             a
@@ -373,7 +310,7 @@ class Execution:
 
     # -- conflict order (paper Section 3.3.3) -------------------------------------
     @cached_property
-    def conflict(self) -> Relation:
+    def conflict(self) -> DenseRelation:
         """Symmetric conflict relation over program events."""
         evs = self.program_events
         pairs = []
@@ -384,7 +321,7 @@ class Execution:
         return self.relation(pairs)
 
     @cached_property
-    def conflict_order(self) -> Relation:
+    def conflict_order(self) -> DenseRelation:
         """Paper's ``co`` arrow: X conflicts with Y and X precedes Y in T.
 
         (Distinct from the Herd-style write-only coherence order above.)

@@ -813,7 +813,6 @@ def enumerate_sc_executions(
     naive: bool = False,
     tracer: Optional[Tracer] = None,
     cache=None,
-    backend: Optional[str] = None,
 ) -> SCEnumeration:
     """Enumerate every SC execution of *program* (deduplicated).
 
@@ -827,14 +826,7 @@ def enumerate_sc_executions(
     the no-op tracer.
     ``cache`` is accepted and ignored: enumerations are not cached on
     disk (only results are; see :mod:`repro.perf.cache`).
-    ``backend`` stamps the relation backend on every returned execution
-    (see :mod:`repro.core.relations`); it does not affect the execution
-    set.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     engine = _enumerate_naive if naive else _enumerate_por
-    result = engine(program, max_executions, tracer=tracer)
-    if backend is not None:
-        for ex in result.executions:
-            ex.set_backend(backend)
-    return result
+    return engine(program, max_executions, tracer=tracer)

@@ -21,32 +21,18 @@ from dataclasses import dataclass
 from repro.core.util import cached_property
 from typing import Dict, FrozenSet
 
-from typing import Optional
-
 from repro.core.events import Event, Execution
 from repro.core.labels import AtomicKind
 from repro.core.races import writes_commute
 from repro.core.paths import OperationGraph
-from repro.core.relations import (
-    DENSE_BACKEND,
-    EventIndex,
-    Relation,
-    at_least_one,
-    product,
-)
+from repro.core.relations import EventIndex, Relation, at_least_one, product
 
 
 class HerdModel:
-    """Evaluates Listing 7's relations for one SC execution.
+    """Evaluates Listing 7's relations for one SC execution, densely over
+    the execution's event index."""
 
-    ``backend`` selects the relation representation for every derived
-    relation (see :mod:`repro.core.relations`); by default the
-    execution's own (auto-resolved) backend is used.
-    """
-
-    def __init__(self, execution: Execution, backend: Optional[str] = None):
-        if backend is not None:
-            execution.set_backend(backend)
+    def __init__(self, execution: Execution):
         self.ex = execution
         events = execution.program_events
         self.universe: FrozenSet[Event] = frozenset(events)
@@ -61,13 +47,9 @@ class HerdModel:
         return self._by_label[kind]
 
     @property
-    def _index(self) -> Optional[EventIndex]:
-        """The execution's event index when relations evaluate densely."""
-        return (
-            self.ex.dense_index
-            if self.ex.backend == DENSE_BACKEND
-            else None
-        )
+    def _index(self) -> EventIndex:
+        """The execution's event index every derived relation uses."""
+        return self.ex.dense_index
 
     # --- base relations (program events only; IW excluded as in the listing) ---
     @cached_property

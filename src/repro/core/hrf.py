@@ -101,16 +101,12 @@ def check_hrf(
     program: Program,
     groups: Optional[Sequence[int]] = None,
     max_witnesses: int = 32,
-    backend: Optional[str] = None,
 ) -> HrfCheckResult:
     """Check *program* against the HRF0-style scoped model.
 
     ``groups[tid]`` assigns each thread to a work-group; the default puts
     every thread in its own group (the most conservative reading, where
-    local scope synchronizes nothing across threads).  ``backend``
-    selects the relation backend the scoped happens-before is computed
-    on (see :mod:`repro.core.relations`).
-    """
+    local scope synchronizes nothing across threads)."""
     if groups is None:
         groups = tuple(range(program.num_threads))
     groups = tuple(groups)
@@ -119,7 +115,7 @@ def check_hrf(
             f"groups has {len(groups)} entries for {program.num_threads} threads"
         )
 
-    enumeration = enumerate_sc_executions(program, backend=backend)
+    enumeration = enumerate_sc_executions(program)
     witnesses = []
     for execution in enumeration.executions:
         hb = _scoped_hb(execution, groups)

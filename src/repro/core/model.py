@@ -28,7 +28,7 @@ the process.
 The pipeline classifies with the one-pass race kernel
 (:mod:`repro.core.race_kernel`); :func:`classify_enumeration` runs the
 oracle, :class:`repro.core.races.RaceAnalysis`, and so do ``naive=True``
-and ``backend="pairs"``.
+and the non-default modes ``dedup=False`` and ``exhaustive=False``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from repro.core.paths import Operation
 from repro.core.quantum import quantum_equivalent
 from repro.core.race_kernel import race_pools
 from repro.core.races import Race, RaceAnalysis, race_signature
-from repro.core.relations import PAIRS_BACKEND, resolve_backend
 from repro.litmus.program import Program
 from repro.obs.metrics import RUNTIME, metric, record_resolution
 
@@ -196,11 +195,11 @@ def classify_enumeration(
     representative per equivalence class; every member execution still
     reports the class's races under its own execution index, so the
     witness list is identical to the exhaustive per-execution scan
-    (modulo internal event ids, which do not print).  ``backend``
-    selects the relation backend for the analysis (see
-    :mod:`repro.core.relations`).  ``exhaustive=False`` is the
-    early-exit witness mode: stop at the first illegal race — same
-    verdict, at most one witness.
+    (modulo internal event ids, which do not print).
+    ``exhaustive=False`` is the early-exit witness mode: stop at the
+    first illegal race — same verdict, at most one witness.  ``backend``
+    is accepted and ignored, like ``cache=`` elsewhere: relations have
+    one representation (:class:`repro.core.relations.DenseRelation`).
     """
     classes = _ILLEGAL_CLASSES[model]
     witnesses: List[RaceWitness] = []
@@ -220,7 +219,6 @@ def classify_enumeration(
             )
             races_found = class_races.get(sig_id, _UNSEEN)
         if races_found is _UNSEEN:
-            execution.set_backend(backend)
             analysis = RaceAnalysis(execution)
             analyses += 1
             if exhaustive:
@@ -305,7 +303,7 @@ def _relabel_enumeration(base: SCEnumeration, prepared: Program,
             Execution(
                 tuple(events), ex.order, ex._rf_map, ex._rmw_pairs,
                 ex._dep_edges, ex.final_memory, ex.final_registers,
-                ex.rmw_info, backend=getattr(ex, "_backend", None),
+                ex.rmw_info,
             )
         )
     return SCEnumeration(
@@ -386,19 +384,16 @@ class Pipeline:
         naive: bool = False,
         max_executions: Optional[int] = None,
         max_witnesses: int = 32,
-        backend: Optional[str] = None,
         dedup: bool = True,
         exhaustive: bool = True,
         tracer=None,
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        resolve_backend(backend)  # rejects an unknown name before any work
         self.engine = engine
         self.naive = naive
         self.max_executions = max_executions
         self.max_witnesses = max_witnesses
-        self.backend = backend
         self.dedup = dedup
         self.exhaustive = exhaustive
         self.tracer = tracer
@@ -438,7 +433,7 @@ class Pipeline:
         record_resolution("check_engine", "enum")
         classified = classify_enumeration(
             enumeration, model, max_witnesses=self.max_witnesses,
-            backend=self.backend, dedup=self.dedup, exhaustive=self.exhaustive,
+            dedup=self.dedup, exhaustive=self.exhaustive,
         )
         return _result(program, model, prepared, enumeration, "enum", classified)
 
@@ -552,14 +547,12 @@ class Pipeline:
         ``analyses_run`` both equal the number of distinct signatures
         *within this enumeration*, however many were served from the
         memo.  Non-default modes (``dedup=False``, ``exhaustive=False``)
-        change that accounting, and the ``pairs`` backend asks for the
-        oracle's relation objects, so those run the stock classifier.
+        change that accounting, so those run the stock classifier.
         """
-        if not self.dedup or not self.exhaustive or self.backend == PAIRS_BACKEND:
+        if not self.dedup or not self.exhaustive:
             return classify_enumeration(
                 enumeration, model, max_witnesses=self.max_witnesses,
-                backend=self.backend, dedup=self.dedup,
-                exhaustive=self.exhaustive,
+                dedup=self.dedup, exhaustive=self.exhaustive,
             )
         max_witnesses = self.max_witnesses
         intern = self.sig_intern
@@ -636,7 +629,6 @@ def check(
     max_witnesses: int = 32,
     naive: bool = False,
     cache=None,
-    backend: Optional[str] = None,
     dedup: bool = True,
     exhaustive: bool = True,
     tracer=None,
@@ -653,11 +645,9 @@ def check(
     the unshared classifier.  ``cache`` is accepted and ignored: only
     whole responses are cached on disk (see :func:`repro.api.check_program`).
 
-    ``backend`` picks the relation representation (``"dense"`` bitsets,
-    ``"pairs"`` frozensets, ``None``/``"auto"`` chooses); ``dedup``
-    analyzes one representative per race-relevant execution class (the
-    default — verdicts and witnesses are identical either way);
-    ``exhaustive=False`` stops at the first illegal race, returning at
+    ``dedup`` analyzes one representative per race-relevant execution
+    class (the default — verdicts and witnesses are identical either
+    way); ``exhaustive=False`` stops at the first illegal race, returning at
     most one witness (same verdict, less work on illegal programs);
     ``tracer`` records the prepared program's search events (see
     :mod:`repro.obs` — the per-request trace capture behind the
@@ -679,7 +669,7 @@ def check(
     """
     pipeline = Pipeline(
         engine=engine, naive=naive, max_executions=max_executions,
-        max_witnesses=max_witnesses, backend=backend, dedup=dedup,
+        max_witnesses=max_witnesses, dedup=dedup,
         exhaustive=exhaustive, tracer=tracer,
     )
     return pipeline.check_models(program, (model,))[0]
@@ -688,11 +678,9 @@ def check(
 def check_all_models(
     program: Program,
     max_executions: Optional[int] = None,
-    backend: Optional[str] = None,
     engine: str = "enum",
 ) -> Dict[str, CheckResult]:
     """Run all three checkers; the per-model verdict table of Section 3.8.
     One pipeline serves the three, so they share one enumeration."""
-    pipeline = Pipeline(engine=engine, max_executions=max_executions,
-                        backend=backend)
+    pipeline = Pipeline(engine=engine, max_executions=max_executions)
     return dict(zip(MODELS, pipeline.check_models(program, MODELS)))

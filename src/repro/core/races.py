@@ -27,7 +27,7 @@ _CO_LOC_KEY = itemgetter(0)
 from repro.core.events import Execution, RmwInfo
 from repro.core.labels import AtomicKind
 from repro.core.paths import Operation, OperationGraph
-from repro.core.relations import DENSE_BACKEND, DenseRelation, Relation
+from repro.core.relations import DenseRelation
 
 
 class _EidPairView:
@@ -47,13 +47,10 @@ class _EidPairView:
         return bool(self._rows[self._pos[a]] >> self._pos[b] & 1)
 
 
-def eid_pair_view(execution: Execution, relation) -> object:
+def eid_pair_view(execution: Execution, relation: DenseRelation) -> _EidPairView:
     """Eid-pair membership for :meth:`OperationGraph.hb1_holds`: a
-    zero-copy view when *relation* is a dense bitset, a frozenset
-    otherwise."""
-    if isinstance(relation, DenseRelation):
-        return _EidPairView(relation, execution._order_pos)
-    return frozenset((a.eid, b.eid) for a, b in relation)
+    zero-copy view of a relation over *execution*'s events."""
+    return _EidPairView(relation, execution._order_pos)
 
 
 @dataclass(frozen=True)
@@ -175,7 +172,7 @@ class RaceAnalysis:
 
     # -- synchronization order and happens-before-1 ---------------------------
     @cached_property
-    def so1(self) -> Relation:
+    def so1(self) -> DenseRelation:
         """Synchronization order: a paired/release synchronization write
         before a conflicting paired/acquire read in T.  (PAIRED-only in
         the paper; RELEASE->ACQUIRE is this library's extension.)"""
@@ -183,28 +180,19 @@ class RaceAnalysis:
         return ex._relation_from_eid_pairs(ex._so1_eid_pairs)
 
     @cached_property
-    def hb1(self) -> Relation:
+    def hb1(self) -> DenseRelation:
         """Happens-before-1 = (po | so1)+ (Section 2.3.2)."""
-        ex = self.execution
-        if ex.backend == DENSE_BACKEND:
-            return DenseRelation(ex.dense_index, self._hb1_rows)
-        return (ex.po | self.so1).transitive_closure()
+        return DenseRelation(self.execution.dense_index, self._hb1_rows)
 
     @cached_property
     def _hb1_rows(self) -> List[int]:
         """hb1 as dense bitmask rows, computed without intermediate
-        relation objects (dense backend).  po and so1 edges always point
-        T-forward, so the ids (= T positions) are a topological order and
-        one reverse accumulation pass closes the union."""
+        relation objects.  po and so1 edges always point T-forward, so
+        the ids (= T positions) are a topological order and one reverse
+        accumulation pass closes the union."""
         ex = self.execution
         pos = ex._order_pos
-        rows = [0] * len(ex.order)
-        for evs in ex._po_threads:
-            mask_later = 0
-            for e in reversed(evs):
-                i = pos[e.eid]
-                rows[i] |= mask_later
-                mask_later |= 1 << i
+        rows = ex._chain_rows(ex._po_threads)
         for a, b in ex._so1_eid_pairs:
             rows[pos[a]] |= 1 << pos[b]
         for i in range(len(rows) - 1, -1, -1):
@@ -220,32 +208,6 @@ class RaceAnalysis:
     @cached_property
     def _hb1_eids(self):
         return eid_pair_view(self.execution, self.hb1)
-
-    @cached_property
-    def _op_bits(self) -> Dict[Operation, Tuple[List[int], int]]:
-        """Per-operation dense event positions and their combined mask,
-        for bit-parallel hb1 lifting (dense backend only)."""
-        pos = self.execution._order_pos
-        out: Dict[Operation, Tuple[List[int], int]] = {}
-        for op in self.graph.operations:
-            ids = [pos[e.eid] for e in op.events]
-            mask = 0
-            for i in ids:
-                mask |= 1 << i
-            out[op] = (ids, mask)
-        return out
-
-    def _hb1_ordered(self, a: Operation, b: Operation) -> bool:
-        if self.execution.backend == DENSE_BACKEND:
-            rows = self._hb1_rows
-            ids_a, mask_a = self._op_bits[a]
-            ids_b, mask_b = self._op_bits[b]
-            return any(rows[i] & mask_b for i in ids_a) or any(
-                rows[i] & mask_a for i in ids_b
-            )
-        return self.graph.hb1_holds(self._hb1_eids, a, b) or self.graph.hb1_holds(
-            self._hb1_eids, b, a
-        )
 
     # -- races ----------------------------------------------------------------
     @cached_property
@@ -267,24 +229,22 @@ class RaceAnalysis:
         # event-level pre-scan here.)
         ex = self.execution
         pos = ex._order_pos
-        # Dense: read the closure rows directly (no relation object, no
+        # Read the closure rows directly (no relation object, no
         # EventIndex).  Each op carries the OR of its events' hb1 rows
         # (``out``-reachability) and the mask of its events' T positions,
         # so "some event of a hb1-before some event of b" is one AND.
-        dense = ex.backend == DENSE_BACKEND
-        rows = self._hb1_rows if dense else None
+        rows = self._hb1_rows
         info = []
         for op in self.graph.operations:
             evs = op.events
             e0 = evs[0]
             p0 = pos[e0.eid]
             mask = 1 << p0
-            combined = rows[p0] if dense else 0
+            combined = rows[p0]
             for e in evs[1:]:
                 p = pos[e.eid]
                 mask |= 1 << p
-                if dense:
-                    combined |= rows[p]
+                combined |= rows[p]
             w = e0.kind == "W" or (len(evs) > 1 and evs[1].kind == "W")
             info.append((op, e0.tid, e0.loc, w, p0, combined, mask, e0.label))
         out = []
@@ -292,10 +252,7 @@ class RaceAnalysis:
             for b, tb, lb, wb, pb, cb, mb, kb in info[i + 1:]:
                 if ta == tb or la != lb or not (wa or wb):
                     continue
-                if dense:
-                    if ca & mb or cb & ma:
-                        continue
-                elif self._hb1_ordered(a, b):
+                if ca & mb or cb & ma:
                     continue
                 # T order of the pair: dense ids are T positions; the
                 # first event of each op decides (same rule as t_before).

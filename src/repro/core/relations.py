@@ -7,25 +7,23 @@ union, intersection, difference, sequential composition (``;``),
 transitive closure (``+``), reflexive-transitive closure (``*``), inverse
 (``^-1``), and restriction to cartesian products of sets (``S1 * S2``).
 
-Two interchangeable backends implement that algebra, one fast path and
-one oracle:
+Two representations implement that algebra, one fast path and one
+oracle:
 
 - :class:`DenseRelation` — an index-mapped bitset representation, the
   same technique Herd/memalloy-style tools use for relational model
   checking.  Elements are interned to dense integer ids by an
   :class:`EventIndex`; a relation is one Python-int bitmask per row, and
   union / intersection / difference / compose / closure / inverse /
-  restrict become bit-parallel integer operations.
+  restrict become bit-parallel integer operations.  Every relation an
+  :class:`repro.core.events.Execution` derives is one.
 - :class:`Relation` — the original frozenset-of-pairs representation.
-  Fully general (any hashable elements, no universe needed) and the
-  oracle the equivalence tests check against.
+  Fully general (any hashable elements, no universe needed): the oracle
+  the equivalence tests check :class:`DenseRelation` against, and the
+  fallback a dense operator takes when its operands mix universes.
 
 Both classes expose the same public surface and compare equal (and hash
-equal) when they contain the same pairs, so either can flow through the
-model code.  :func:`resolve_backend` picks the backend: ``"dense"`` or
-``"pairs"`` explicitly, while ``"auto"``/``None`` selects dense whenever
-the universe has at most :data:`DENSE_MAX_ELEMENTS` elements (every
-litmus execution does) and pair-sets past that.
+equal) when they contain the same pairs.
 """
 
 from __future__ import annotations
@@ -45,45 +43,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core import RELATION_BACKENDS
-
 Pair = Tuple[Hashable, Hashable]
-
-#: The concrete backends; ``"auto"`` resolves to one of them.
-BACKENDS = RELATION_BACKENDS[1:]
-DENSE_BACKEND, PAIRS_BACKEND = BACKENDS
-
-#: ``auto`` leaves the single-int-row dense backend above this universe
-#: size: beyond it the rows stop fitting comfortably in machine words,
-#: and the pair-set backend takes over.
-DENSE_MAX_ELEMENTS = 512
-
-
-def resolve_backend(
-    backend: Optional[str] = None, n_elements: Optional[int] = None
-) -> str:
-    """Resolve a ``backend=`` argument to a concrete backend name.
-
-    ``None``/``"auto"`` picks dense up to :data:`DENSE_MAX_ELEMENTS`
-    elements and pair-sets past that.  Unknown values raise with the
-    allowed set; the resolved choice is recorded once per process via
-    :func:`repro.obs.metrics.record_resolution`.
-    """
-    choice = "auto" if backend is None else backend
-    if choice not in RELATION_BACKENDS:
-        raise ValueError(
-            f"unknown relation backend {choice!r}; "
-            f"allowed values: {', '.join(RELATION_BACKENDS)}"
-        )
-    if choice == "auto":
-        if n_elements is not None and n_elements > DENSE_MAX_ELEMENTS:
-            choice = PAIRS_BACKEND
-        else:
-            choice = DENSE_BACKEND
-    from repro.obs.metrics import record_resolution
-
-    record_resolution("relation_backend", choice)
-    return choice
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -153,14 +113,8 @@ class EventIndex:
         return DenseRelation(self, (0,) * len(self.elements))
 
 
-class _RelationOps:
-    """Operator mixin shared by both backends (documentation anchor)."""
-
-    __slots__ = ()
-
-
-class Relation(_RelationOps):
-    """An immutable finite binary relation (frozenset-of-pairs backend)."""
+class Relation:
+    """An immutable finite binary relation (frozenset of pairs)."""
 
     __slots__ = ("_pairs",)
 
@@ -307,7 +261,7 @@ class Relation(_RelationOps):
         return Relation((a, b) for a, b in self._pairs if predicate(a, b))
 
 
-class DenseRelation(_RelationOps):
+class DenseRelation:
     """An immutable finite binary relation over an :class:`EventIndex`.
 
     ``rows[i]`` is the successor bitmask of the element with id ``i``:
@@ -393,8 +347,8 @@ class DenseRelation(_RelationOps):
         """Bring *other* onto this relation's index.
 
         Raises :class:`KeyError` when *other* mentions an element outside
-        this universe; binary operators fall back to the pair-set backend
-        in that case, so mixing universes degrades gracefully instead of
+        this universe; binary operators fall back to a pair-set
+        :class:`Relation` in that case, so mixing universes degrades gracefully instead of
         failing.
         """
         if isinstance(other, DenseRelation):
@@ -608,7 +562,7 @@ class DenseRelation(_RelationOps):
         return DenseRelation(self.index, rows)
 
 
-#: Either backend; both expose the same public surface.
+#: Either representation; both expose the same public surface.
 RelationLike = Relation  # for annotations; DenseRelation is duck-equal
 
 

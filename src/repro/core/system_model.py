@@ -39,7 +39,7 @@ non-SC outcomes unless the program has an illegal race or uses quantum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.core.executions import enumerate_sc_executions
 from repro.core.labels import RELAXED_KINDS, AtomicKind, effective_kind, is_atomic
@@ -314,10 +314,8 @@ def _outcome(memory: Dict[str, int], threads: Sequence[_MachineThread]) -> Outco
     return (mem, regs)  # type: ignore[return-value]
 
 
-def _sc_outcomes(
-    program: Program, backend: Optional[str] = None
-) -> Tuple[FrozenSet[Outcome], int]:
-    enum = enumerate_sc_executions(program, backend=backend)
+def _sc_outcomes(program: Program) -> Tuple[FrozenSet[Outcome], int]:
+    enum = enumerate_sc_executions(program)
     outs = set()
     for ex in enum.executions:
         mem = tuple(sorted(ex.final_memory.items()))
@@ -328,18 +326,13 @@ def _sc_outcomes(
     return frozenset(outs), enum.truncated_paths
 
 
-def run_system_model(
-    program: Program, model: str = "drfrlx", backend: Optional[str] = None
-) -> SystemModelReport:
+def run_system_model(program: Program, model: str = "drfrlx") -> SystemModelReport:
     """Enumerate every execution of *program* on the relaxed machine for
     *model* and compare outcomes with the SC set.
 
     The outcome of an execution is its final memory state (the paper's
     "result", Section 3.2.2) plus each thread's final registers, which is
-    how litmus tests conventionally observe behavior.  ``backend``
-    selects the relation backend for the SC reference enumeration (the
-    machine side is relation-free).
-    """
+    how litmus tests conventionally observe behavior."""
     init_memory: Dict[str, int] = {
         loc: program.initial_value(loc) for loc in program.locations()
     }
@@ -403,7 +396,7 @@ def run_system_model(
             new_threads[t_idx].execute(i, new_memory)
             stack.append((new_threads, new_memory))
 
-    sc_outs, sc_truncated = _sc_outcomes(program, backend=backend)
+    sc_outs, sc_truncated = _sc_outcomes(program)
     return SystemModelReport(
         program_name=program.name,
         model=model,

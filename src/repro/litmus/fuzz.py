@@ -2,9 +2,9 @@
 
 ROADMAP item 1 asks for diy-style random litmus generation feeding a
 differential harness over every checking configuration the repo has
-grown: naive vs partial-order-reduced enumeration, the relation
-backends, the enum vs SAT engines, and cold vs cached
-runs.  All of those compute the same programmer-centric verdict, so any
+grown: naive vs partial-order-reduced enumeration, the race kernel vs
+the per-execution oracle classifier, the enum vs SAT engines, and cold
+vs cached runs.  All of those compute the same programmer-centric verdict, so any
 disagreement on ``(legal, race_kinds)`` for any model is a bug in one
 of them — the fuzzer's job is to find such programs, shrink them, and
 keep them.
@@ -59,7 +59,7 @@ FUZZ_CHECKS = metric(
 )
 FUZZ_DIVERGENCES = metric(
     "fuzz_divergence", "fuzz", unit="cases",
-    doc="engine/backend verdict disagreements found",
+    doc="engine verdict disagreements found",
 )
 
 #: Where banked divergences live.  A subdirectory of the curated corpus:
@@ -275,11 +275,15 @@ def _config(name: str, **kwargs) -> FuzzConfig:
 
 
 def default_configs() -> Tuple[FuzzConfig, ...]:
-    """The engine/backend matrix checked against the batch reference."""
+    """The engine matrix checked against the batch reference: the
+    reference's own path one program at a time (``enum``), the naive
+    oracle, the POR enumeration classified on every execution by
+    :class:`~repro.core.races.RaceAnalysis` (``enum-nodedup``), and the
+    solver."""
     return (
+        _config("enum"),
         _config("enum-naive", naive=True),
-        _config("enum-dense", backend="dense"),
-        _config("enum-pairs", backend="pairs"),
+        _config("enum-nodedup", dedup=False),
         _config("sat", engine="sat"),
     )
 
@@ -513,16 +517,15 @@ def replay(path: str, models: Sequence[str] = MODELS) -> List[Tuple[str, str, st
     """Re-check a banked case across every configuration.
 
     Returns ``(config, model, verdict-string)`` rows — the reference
-    engine first — for ``python -m repro fuzz replay`` to tabulate.
+    path, ``enum``, first — for ``python -m repro fuzz replay`` to
+    tabulate.
     """
     from repro.litmus.dsl import parse
 
     with open(path) as handle:
         program = parse(handle.read())
     rows: List[Tuple[str, str, str]] = []
-    for config in (FuzzConfig("enum", lambda p, m: check(p, m)),) + tuple(
-        default_configs()
-    ):
+    for config in default_configs():
         for model in models:
             try:
                 legal, kinds = verdict(config.run(program, model))

@@ -154,9 +154,9 @@ class MetricSet:
         return f"{type(self).__name__}({body})"
 
 
-#: Process-wide one-time resolution counters: which relation backend /
-#: simulation engine ``auto`` (or an explicit choice) actually resolved
-#: to in this run.  Keys look like ``relation_backend_resolved:dense``.
+#: Process-wide one-time resolution counters: which simulation or
+#: checking engine ``auto`` (or an explicit choice) actually resolved
+#: to in this run.  Keys look like ``sim_engine_resolved:compiled``.
 #: Each (kind, choice) pair is recorded once per process, so hot
 #: resolution paths stay free of per-call counter traffic.
 RUNTIME = MetricSet()
@@ -167,9 +167,9 @@ _RESOLUTIONS_SEEN = set()
 def record_resolution(kind: str, choice: str) -> None:
     """Record (once per process) that *kind* resolved to *choice*.
 
-    ``kind`` is ``"relation_backend"``, ``"sim_engine"`` or
-    ``"check_engine"``; the counter ``{kind}_resolved:{choice}`` lands in
-    :data:`RUNTIME` the first time each pair is seen.
+    ``kind`` is ``"sim_engine"``, ``"check_engine"`` or
+    ``"check_engine_route"``; the counter ``{kind}_resolved:{choice}``
+    lands in :data:`RUNTIME` the first time each pair is seen.
     """
     key = (kind, choice)
     if key in _RESOLUTIONS_SEEN:

@@ -44,15 +44,15 @@ class AuditResult:
         return all(exp == act for exp, act, _ in self.verdicts.values())
 
 
-def _audit_file(task: Tuple[str, Optional[str], bool, str]) -> AuditResult:
+def _audit_file(task: Tuple[str, bool, str]) -> AuditResult:
     """Worker: parse one corpus file and check every declared model.
 
-    The task is the file path plus the relation ``backend``, ``dedup``
-    and checking ``engine`` flags.  One
+    The task is the file path plus the ``dedup`` and checking
+    ``engine`` flags.  One
     :class:`repro.core.model.Pipeline` checks every declared model, so
     the models share one enumeration.
     """
-    path, backend, dedup, engine = task
+    path, dedup, engine = task
     with open(path) as handle:
         text = handle.read()
     program = parse(text)
@@ -60,7 +60,7 @@ def _audit_file(task: Tuple[str, Optional[str], bool, str]) -> AuditResult:
     engines: Dict[str, str] = {}
     solver_stats: Dict[str, Dict[str, int]] = {}
     expected = sorted(_parse_expectations(text).items())
-    pipeline = Pipeline(backend=backend, dedup=dedup, engine=engine)
+    pipeline = Pipeline(dedup=dedup, engine=engine)
     results = pipeline.check_models(program, [model for model, _ in expected])
     for (model, (legal, _kinds)), result in zip(expected, results):
         verdicts[model] = (legal, result.legal, result.race_kinds)
@@ -75,20 +75,18 @@ def _audit_file(task: Tuple[str, Optional[str], bool, str]) -> AuditResult:
 def audit_corpus(
     directory: str = CORPUS_DIR,
     jobs: Optional[int] = None,
-    backend: Optional[str] = None,
     dedup: bool = True,
     engine: str = "enum",
 ) -> Tuple[AuditResult, ...]:
     """Audit every corpus file; results in sorted-filename order.
 
-    ``backend``/``dedup`` select the relation backend and
-    execution-class deduplication for every check, and ``engine`` the
-    checking engine (the verdicts are identical in all combinations;
-    these are perf knobs).  Each result records the engine that actually
+    ``dedup`` selects execution-class deduplication for every check, and
+    ``engine`` the checking engine (the verdicts are identical in all
+    combinations; these are perf knobs).  Each result records the engine that actually
     ran per model in :attr:`AuditResult.engines`.
     """
     tasks = [
-        (os.path.join(directory, filename), backend, dedup, engine)
+        (os.path.join(directory, filename), dedup, engine)
         for filename in sorted(os.listdir(directory))
         if filename.endswith(".litmus")
     ]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.api import handle_request
+from repro.api.core import request_cache_key
 from repro.api.schema import (
     SCHEMA_VERSION,
     SchemaError,
@@ -16,6 +17,7 @@ from repro.api.schema import (
     request_key_material,
     validate_request,
 )
+from repro.perf.cache import ResultCache
 
 
 def _check_request(**extra):
@@ -129,11 +131,17 @@ class TestValidation:
 
 class TestRetiredSpellings:
     """Retired v1 option values are accepted and normalised at the
-    schema boundary, so they answer with the canonical spelling's bytes."""
+    schema boundary, so they answer with the canonical spelling's bytes
+    and share its response-cache entry."""
 
     @pytest.mark.parametrize(
         "field, old, canonical",
-        [("backend", "numpy", "dense"), ("engine", "portfolio", "auto")],
+        [
+            ("backend", "numpy", "auto"),
+            ("backend", "dense", "auto"),
+            ("backend", "pairs", "auto"),
+            ("engine", "portfolio", "auto"),
+        ],
     )
     @pytest.mark.parametrize(
         "request_",
@@ -148,16 +156,31 @@ class TestRetiredSpellings:
         ids=["check", "audit", "batch"],
     )
     def test_old_spelling_answers_like_canonical(
-        self, request_, field, old, canonical
+        self, request_, field, old, canonical, tmp_path
     ):
-        def answer(value):
-            request = dict(request_, options={field: value})
-            return encode(handle_request(request, cache=False))
+        store = ResultCache(str(tmp_path))
 
-        assert validate_request(dict(request_, options={field: old}))[
-            "options"
-        ][field] == canonical
+        def request(value):
+            return dict(request_, options={field: value})
+
+        def answer(value):
+            return encode(handle_request(request(value), cache=False))
+
+        def cache_key(value):
+            return request_cache_key(store, validate_request(request(value)))
+
+        assert validate_request(request(old))["options"][field] == canonical
         assert answer(old) == answer(canonical)
+        assert cache_key(old) == cache_key(canonical)
+        if field == "backend":
+            # The one backend value is the default: every spelling,
+            # null included, means a request without the field.
+            default = encode(handle_request(request_, cache=False))
+            assert answer(old) == default
+            assert answer(None) == default
+            assert cache_key(old) == request_cache_key(
+                store, validate_request(request_)
+            )
 
     @pytest.mark.parametrize("old", ["compiled", "vectorized"])
     def test_old_sweep_engine_answers_like_auto(self, old):

@@ -53,7 +53,7 @@ def _payload(result):
 
 
 def _reference(program, model, engine="enum", max_executions=None,
-               max_witnesses=32, backend=None, dedup=True, exhaustive=True):
+               max_witnesses=32, dedup=True, exhaustive=True):
     """One cell through the stages composed by hand, nothing shared."""
     prepared = _prepare(program, model)
     if engine == "auto":
@@ -69,7 +69,7 @@ def _reference(program, model, engine="enum", max_executions=None,
         enumeration = enumerate_sc_executions(prepared,
                                               max_executions=max_executions)
     classified = classify_enumeration(
-        enumeration, model, max_witnesses=max_witnesses, backend=backend,
+        enumeration, model, max_witnesses=max_witnesses,
         dedup=dedup, exhaustive=exhaustive,
     )
     witnesses, n_classes, analyses = classified
@@ -108,10 +108,6 @@ def _assert_identical(programs, **kwargs):
 
 def test_identical_to_naive_loop_default_options():
     _assert_identical(_programs())
-
-
-def test_identical_with_pairs_backend():
-    _assert_identical(generate(17, 5), backend="pairs")
 
 
 def test_identical_without_dedup():

@@ -1,9 +1,12 @@
 """Corpus-wide identity of the checker's fast paths against the oracle.
 
-The deduplicating dense-backend checker and the early-exit witness mode
-must be observationally identical to the pair-set per-execution oracle:
-same verdicts on every (program, model) pair, and — for the exhaustive
-modes — the same ``(execution index, race)`` witness sequence.
+The deduplicating checker (the race kernel over one representative per
+race-signature class) and the early-exit witness mode must be
+observationally identical to the per-execution oracle, ``dedup=False``,
+which classifies every execution with
+:class:`repro.core.races.RaceAnalysis`: same verdicts on every
+(program, model) pair, and — for the exhaustive modes — the same
+``(execution index, race)`` witness sequence.
 """
 
 import pytest
@@ -22,8 +25,8 @@ def _witness_trace(result):
 @pytest.mark.parametrize("model", MODELS)
 def test_dedup_dense_matches_pairs_oracle(model):
     for entry in CORPUS:
-        oracle = check(entry.program, model, backend="pairs", dedup=False)
-        fast = check(entry.program, model, backend="dense", dedup=True)
+        oracle = check(entry.program, model, dedup=False)
+        fast = check(entry.program, model, dedup=True)
         assert fast.legal == oracle.legal, entry.name
         assert _witness_trace(fast) == _witness_trace(oracle), entry.name
         assert fast.executions_explored == oracle.executions_explored
@@ -36,10 +39,8 @@ def test_dedup_dense_matches_pairs_oracle(model):
 @pytest.mark.parametrize("model", MODELS)
 def test_early_exit_matches_verdict(model):
     for entry in CORPUS:
-        oracle = check(entry.program, model, backend="pairs", dedup=False)
-        early = check(
-            entry.program, model, backend="dense", dedup=True, exhaustive=False
-        )
+        oracle = check(entry.program, model, dedup=False)
+        early = check(entry.program, model, dedup=True, exhaustive=False)
         assert early.legal == oracle.legal, entry.name
         assert len(early.witnesses) <= 1
         if not oracle.legal:
@@ -47,20 +48,11 @@ def test_early_exit_matches_verdict(model):
             assert _witness_trace(early)[0] == _witness_trace(oracle)[0]
 
 
-@pytest.mark.parametrize("model", MODELS)
-def test_backends_agree_without_dedup(model):
-    for entry in CORPUS[:6]:
-        oracle = check(entry.program, model, backend="pairs", dedup=False)
-        dense = check(entry.program, model, backend="dense", dedup=False)
-        assert dense.legal == oracle.legal, entry.name
-        assert _witness_trace(dense) == _witness_trace(oracle), entry.name
-
-
 def test_dedup_collapses_quantum_fanout():
     """The signature ignores final registers, so the havoc fan-out of a
     quantum-equivalent program collapses into far fewer classes."""
     entry = next(e for e in CORPUS if e.name == "ref_counter_dsl")
-    result = check(entry.program, "drfrlx", backend="dense", dedup=True)
+    result = check(entry.program, "drfrlx", dedup=True)
     assert result.execution_classes < result.executions_explored
 
 

@@ -102,3 +102,12 @@ class TestSimulatorCounters:
             value = getattr(M, name)
             assert isinstance(value, Metric), name
             assert str(value) in registered, name
+
+
+class TestResolutionMetrics:
+    def test_record_resolution_is_idempotent(self):
+        M.record_resolution("sim_engine", "test-choice")
+        first = M.RUNTIME.get("sim_engine_resolved:test-choice")
+        M.record_resolution("sim_engine", "test-choice")
+        assert M.RUNTIME.get("sim_engine_resolved:test-choice") == first
+        assert first == 1.0

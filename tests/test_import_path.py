@@ -145,3 +145,12 @@ def test_no_module_imports_numpy():
                 if any(m.split(".")[0] == "numpy" for m in modules):
                     offenders.append(os.path.relpath(path, SRC))
     assert offenders == []
+
+
+def test_checker_runs_without_numpy(monkeypatch):
+    # A None entry makes ``import numpy`` raise ImportError.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    from repro.core.model import check
+    from repro.litmus.library import get as get_litmus
+
+    assert check(get_litmus("mp_paired").program, "drf0").legal
