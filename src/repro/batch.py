@@ -23,8 +23,8 @@ Nothing here touches the on-disk result cache: a served ``batch``
 request caches its whole response (:mod:`repro.api.core`), never the
 enumerations behind it.
 
-``check_many`` materializes the batch, predicts per-program cost with
-the :mod:`repro.solver.router` feature vector, packs cost-balanced bins
+``check_many`` materializes the batch, weighs each program by its
+static step bound, packs cost-balanced bins
 (LPT — one heavy chain must not serialize a bin of tiny MPs), and ships
 bins to the warm :mod:`repro.perf.pool` executor; with one worker the
 whole batch is one bin checked in-process.  A bin's memos live as long
@@ -112,23 +112,8 @@ def _check_bin(task) -> List[Tuple[int, CheckResult]]:
 
 
 def _predicted_cost(program: Program) -> float:
-    """Relative cost weight for LPT binning, from the router's
-    calibrated predictions when available; the static step bound's
-    exponential growth proxy otherwise."""
-    try:
-        from repro.core.model import _prepare
-        from repro.solver.router import decide
-
-        decision = decide(_prepare(program, "drf0"))
-        predicted = (
-            decision.predicted_sat_s
-            if decision.engine == "sat"
-            else decision.predicted_enum_s
-        )
-        if predicted is not None and predicted > 0:
-            return float(predicted)
-    except Exception:
-        pass
+    """Relative cost weight for LPT binning: the static step bound's
+    exponential growth proxy."""
     return float(2 ** min(static_step_bound(program), 24))
 
 

@@ -8,14 +8,12 @@ Subcommands:
   and Chrome ``trace_event`` files (see :mod:`repro.obs`);
 - ``litmus`` — check one library litmus test against all three models
   (or list the library);
-- ``calibrate`` — refit the enum-vs-sat engine router and write
-  ``calibration.json`` (see :func:`repro.solver.router.calibrate`);
 - ``serve`` — run the checker as a long-lived service speaking the v1
   request protocol over stdin-JSONL or HTTP (see :mod:`repro.serve`
   and ``docs/serve.md``).
 
 The shared flags ``--jobs``, ``--out`` and ``--trace`` are declared once
-here and inherited by every subcommand but ``calibrate``; ``--trace``
+here and inherited by every subcommand; ``--trace``
 defaults to the ``REPRO_TRACE`` environment variable, so
 ``REPRO_TRACE=out/ python -m repro figures`` traces without touching
 the command line.
@@ -97,7 +95,8 @@ def _add_check_engine(parser: argparse.ArgumentParser) -> None:
         default="enum", metavar="E",
         help="model-checking engine: 'enum' walks every interleaving, "
              "'sat' enumerates execution classes with the CDCL solver, "
-             "'auto' routes per program via the calibrated cost model "
+             "'auto' takes sat for a program with no RMW and more than "
+             "10^4 bounded interleavings, enum otherwise "
              "(default enum). Verdicts are identical either way",
     )
 
@@ -130,19 +129,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
         print(f"== {name} " + "=" * max(0, 60 - len(name)))
         print(artifacts[name])
         print()
-    return 0
-
-
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    """Refit the engine router from fresh enum-vs-sat timings."""
-    from repro.solver.router import calibrate
-
-    path, calibration = calibrate(args.out)
-    print(
-        f"calibrated on {calibration['training_rows']} rows, "
-        f"{len(calibration['pins'])} pins, 0 misroutes"
-    )
-    print(f"wrote {path}")
     return 0
 
 
@@ -444,16 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-bank", action="store_true",
                    help="report divergences without writing corpus files")
     p.set_defaults(func=cmd_fuzz)
-
-    p = sub.add_parser(
-        "calibrate",
-        help="refit the enum-vs-sat engine router: time the corpus and "
-             "the scaling families under both engines (best of 3) and "
-             "write DIR/calibration.json (default --out .)",
-    )
-    p.add_argument("--out", default=".", metavar="DIR",
-                   help="directory for calibration.json (default .)")
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser(
         "serve", parents=[shared],

@@ -17,8 +17,8 @@ from repro._lazy import lazy_exports
 #: The checking engines ``check(engine=...)`` accepts.  ``"enum"`` is the
 #: explicit interleaving enumerator (the oracle), ``"sat"`` the
 #: solver-backed class enumerator (:mod:`repro.solver`), ``"auto"``
-#: routes each prepared program to whichever of the two the calibrated
-#: cost model (:mod:`repro.solver.router`) predicts faster.
+#: routes each prepared program by a static rule (:mod:`repro.solver.router`):
+#: the solver iff it has no RMW and a large interleaving bound.
 #: Defined here, not in :mod:`repro.core.model`, so that the CLI parser
 #: and the v1 request schema can name them without loading the checker.
 ENGINES = ("enum", "sat", "auto")

@@ -794,8 +794,9 @@ def static_step_bound(program: Program) -> int:
     """Static bound on the memory operations any execution of *program*
     performs (loops weighted by their unrolling bound).  It is cheap,
     purely syntactic, and monotone in the interleaving space the
-    enumerator would have to search; the router, the batch scheduler and
-    the SAT encoder use it as a size measure.
+    enumerator would have to search; the batch scheduler and the SAT
+    encoder use it as a size measure, and the router its per-thread
+    terms (:func:`_body_step_bound`).
 
     The bound is memoized on the (frozen, immutable) program instance,
     so each program's AST is walked at most once.

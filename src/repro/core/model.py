@@ -501,8 +501,7 @@ class Pipeline:
             from repro.solver.router import decide
 
             decision = self.decisions[prep_key] = decide(prepared)
-        record_resolution("check_engine_route",
-                          f"{decision.source}:{decision.engine}")
+        record_resolution("check_engine_route", decision.engine)
         return decision.engine == "sat"
 
     def _enumerate(self, prepared: Program,
@@ -659,9 +658,9 @@ def check(
     :mod:`repro.solver` (one model per class — verdicts and printed
     witnesses are identical, but ``executions_explored`` counts classes
     and ``truncated_paths`` counts locally truncated thread branches),
-    and ``"auto"`` consults the calibrated cost model of
-    :mod:`repro.solver.router` (falling back to the static
-    :data:`repro.solver.router.GATE_STEPS` gate without a calibration).
+    and ``"auto"`` applies the static rule of :mod:`repro.solver.router`
+    (the solver iff the prepared program has no RMW and its interleaving
+    bound exceeds :data:`~repro.solver.router.SAT_THRESHOLD`).
     The solver engine falls back to the enumerator when the program
     exceeds its grounding capacity (deep loops, huge value domains);
     ``naive=True`` always uses the enumerator.

@@ -4,7 +4,7 @@ The paper uses GPUWattch for the GPU CUs and McPAT for the NoC and
 reports dynamic energy in five stacks: GPU core+ (instruction cache,
 register file, FPU, scheduler, pipeline), scratchpad, L1, L2, and
 network (Figures 3b / 4b).  We reproduce that decomposition with
-per-event costs calibrated to the magnitudes those tools report for a
+per-event costs set to the magnitudes those tools report for a
 GTX 480-class CU at 40-45 nm.  Absolute joules are not the point — the
 relative component mix and the cross-configuration ratios are.
 

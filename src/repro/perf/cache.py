@@ -94,10 +94,9 @@ def code_fingerprint(packages: Tuple[str, ...]) -> str:
 
     The fingerprint is part of every cache key, so editing any file in a
     fingerprinted package silently invalidates all entries that depended
-    on it.  Packaged JSON data participates because it can steer results
-    the same way code does (``repro.solver`` ships ``calibration.json``,
-    which routes ``engine="auto"`` checks).  Hashing a few dozen small
-    files takes ~1 ms and is cached per process.
+    on it.  Packaged JSON data participates because it could steer
+    results the same way code does.  Hashing a few dozen small files
+    takes ~1 ms and is cached per process.
     """
     digest = hashlib.sha256()
     for package in packages:

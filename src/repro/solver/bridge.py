@@ -70,9 +70,12 @@ class SolverStats:
     path, they are per-class snapshots equal to what a fresh one-shot
     solve of the same cap reports — so they are safe to expose in
     reproducible payloads (``audit --json``, v1 check responses) via
-    :meth:`counters`.  The wall times and the ``shared`` flag depend on
-    machine load and on which requests warmed the core first, and stay
-    out of those payloads.
+    :meth:`counters`.  The wall times depend on machine load and stay
+    out of those payloads.  The ``shared`` flag is deterministic too,
+    and payloads carry it beside the counters: it is False only when
+    the caller passed ``shared=False``, a tracer was enabled, or the
+    program's labels collide in the label-erased core (a property of
+    the program), never because of which request warmed the core.
     """
 
     decisions: int = 0

@@ -21,10 +21,6 @@ universe_st = st.integers(min_value=2, max_value=64)
 #: with a partially-filled last word in almost every draw).
 wide_universe_st = st.integers(min_value=65, max_value=160)
 
-#: The indexed backends under test.
-INDEXED = ("dense",)
-
-
 @st.composite
 def indexed_pairs(draw, n_relations=1, universe=universe_st):
     """A universe size plus *n_relations* random pair sets over it."""
@@ -36,13 +32,13 @@ def indexed_pairs(draw, n_relations=1, universe=universe_st):
     return n, rels
 
 
-def both(n, pairs, backend):
-    """The same relation in *backend* and the pair-set oracle."""
+def both(n, pairs):
+    """The same relation as a DenseRelation and as the pair-set oracle."""
     index = EventIndex(range(n))
     return index.relation(pairs), Relation(pairs)
 
 
-def agree(fast, oracle, backend):
+def agree(fast, oracle):
     assert isinstance(fast, DenseRelation)
     assert fast.pairs == oracle.pairs
     assert fast == oracle  # cross-backend __eq__
@@ -50,73 +46,71 @@ def agree(fast, oracle, backend):
     assert bool(fast) == bool(oracle)
 
 
-@pytest.mark.parametrize("backend", INDEXED)
 class TestOperatorEquivalence:
     @given(case=indexed_pairs(2))
     @settings(max_examples=80, deadline=None)
-    def test_union_intersection_difference(self, backend, case):
+    def test_union_intersection_difference(self, case):
         n, (p, q) = case
-        da, oa = both(n, p, backend)
-        db, ob = both(n, q, backend)
-        agree(da | db, oa | ob, backend)
-        agree(da & db, oa & ob, backend)
-        agree(da - db, oa - ob, backend)
+        da, oa = both(n, p)
+        db, ob = both(n, q)
+        agree(da | db, oa | ob)
+        agree(da & db, oa & ob)
+        agree(da - db, oa - ob)
 
     @given(case=indexed_pairs(2))
     @settings(max_examples=80, deadline=None)
-    def test_compose(self, backend, case):
+    def test_compose(self, case):
         n, (p, q) = case
-        da, oa = both(n, p, backend)
-        db, ob = both(n, q, backend)
+        da, oa = both(n, p)
+        db, ob = both(n, q)
         assert da.compose(db).pairs == oa.compose(ob).pairs
 
     @given(case=indexed_pairs())
     @settings(max_examples=80, deadline=None)
-    def test_inverse(self, backend, case):
+    def test_inverse(self, case):
         n, (p,) = case
-        fast, oracle = both(n, p, backend)
-        agree(fast.inverse(), oracle.inverse(), backend)
+        fast, oracle = both(n, p)
+        agree(fast.inverse(), oracle.inverse())
 
     @given(case=indexed_pairs())
     @settings(max_examples=80, deadline=None)
-    def test_transitive_closure(self, backend, case):
+    def test_transitive_closure(self, case):
         n, (p,) = case
-        fast, oracle = both(n, p, backend)
-        agree(fast.transitive_closure(), oracle.transitive_closure(), backend)
+        fast, oracle = both(n, p)
+        agree(fast.transitive_closure(), oracle.transitive_closure())
 
     @given(case=indexed_pairs())
     @settings(max_examples=80, deadline=None)
-    def test_closure_of_forward_dag(self, backend, case):
+    def test_closure_of_forward_dag(self, case):
         # The DAG fast path: all edges point id-forward.
         n, (p,) = case
         forward = frozenset((a, b) for a, b in p if a < b)
-        fast, oracle = both(n, forward, backend)
-        agree(fast.transitive_closure(), oracle.transitive_closure(), backend)
+        fast, oracle = both(n, forward)
+        agree(fast.transitive_closure(), oracle.transitive_closure())
 
     @given(case=indexed_pairs())
     @settings(max_examples=80, deadline=None)
-    def test_is_acyclic(self, backend, case):
+    def test_is_acyclic(self, case):
         n, (p,) = case
-        fast, oracle = both(n, p, backend)
+        fast, oracle = both(n, p)
         assert fast.is_acyclic() == oracle.is_acyclic()
 
     @given(case=indexed_pairs(), first=st.sets(st.integers(0, 63), max_size=16),
            second=st.sets(st.integers(0, 63), max_size=16))
     @settings(max_examples=80, deadline=None)
-    def test_restrict(self, backend, case, first, second):
+    def test_restrict(self, case, first, second):
         n, (p,) = case
-        fast, oracle = both(n, p, backend)
+        fast, oracle = both(n, p)
         agree(
             fast.restrict(first, second),
             oracle.restrict(first, second),
-            backend,
         )
 
     @given(case=indexed_pairs())
     @settings(max_examples=80, deadline=None)
-    def test_domain_codomain_elements_successors(self, backend, case):
+    def test_domain_codomain_elements_successors(self, case):
         n, (p,) = case
-        fast, oracle = both(n, p, backend)
+        fast, oracle = both(n, p)
         assert fast.domain() == oracle.domain()
         assert fast.codomain() == oracle.codomain()
         assert fast.elements() == oracle.elements()
@@ -125,17 +119,17 @@ class TestOperatorEquivalence:
 
     @given(case=indexed_pairs())
     @settings(max_examples=80, deadline=None)
-    def test_filter(self, backend, case):
+    def test_filter(self, case):
         n, (p,) = case
-        fast, oracle = both(n, p, backend)
+        fast, oracle = both(n, p)
         pred = lambda a, b: (a + b) % 2 == 0
-        agree(fast.filter(pred), oracle.filter(pred), backend)
+        agree(fast.filter(pred), oracle.filter(pred))
 
     @given(case=indexed_pairs())
     @settings(max_examples=80, deadline=None)
-    def test_reflexive_closure_over(self, backend, case):
+    def test_reflexive_closure_over(self, case):
         n, (p,) = case
-        fast, oracle = both(n, p, backend)
+        fast, oracle = both(n, p)
         domain = range(n)
         assert (
             fast.reflexive_closure_over(domain).pairs
@@ -144,80 +138,77 @@ class TestOperatorEquivalence:
 
     @given(case=indexed_pairs())
     @settings(max_examples=80, deadline=None)
-    def test_membership_and_iteration(self, backend, case):
+    def test_membership_and_iteration(self, case):
         n, (p,) = case
-        fast, oracle = both(n, p, backend)
+        fast, oracle = both(n, p)
         assert sorted(fast) == sorted(oracle)
         for pair in p:
             assert pair in fast
         assert (n, n) not in fast  # element outside the universe
 
 
-@pytest.mark.parametrize("backend", INDEXED)
 class TestTileBoundary:
     """Universes past 64 elements: multi-word rows with a ragged tail."""
 
     @given(case=indexed_pairs(2, universe=wide_universe_st))
     @settings(max_examples=30, deadline=None)
-    def test_algebra_past_one_tile(self, backend, case):
+    def test_algebra_past_one_tile(self, case):
         n, (p, q) = case
-        da, oa = both(n, p, backend)
-        db, ob = both(n, q, backend)
-        agree(da | db, oa | ob, backend)
-        agree(da & db, oa & ob, backend)
-        agree(da - db, oa - ob, backend)
+        da, oa = both(n, p)
+        db, ob = both(n, q)
+        agree(da | db, oa | ob)
+        agree(da & db, oa & ob)
+        agree(da - db, oa - ob)
         assert da.compose(db).pairs == oa.compose(ob).pairs
-        agree(da.inverse(), oa.inverse(), backend)
+        agree(da.inverse(), oa.inverse())
 
     @given(case=indexed_pairs(universe=wide_universe_st))
     @settings(max_examples=20, deadline=None)
-    def test_closure_and_acyclicity_past_one_tile(self, backend, case):
+    def test_closure_and_acyclicity_past_one_tile(self, case):
         n, (p,) = case
-        fast, oracle = both(n, p, backend)
-        agree(fast.transitive_closure(), oracle.transitive_closure(), backend)
+        fast, oracle = both(n, p)
+        agree(fast.transitive_closure(), oracle.transitive_closure())
         assert fast.is_acyclic() == oracle.is_acyclic()
 
     @pytest.mark.parametrize("n", (65, 128, 129))
-    def test_empty_relation(self, backend, n):
-        fast, oracle = both(n, frozenset(), backend)
-        agree(fast, oracle, backend)
-        agree(fast.transitive_closure(), oracle, backend)
+    def test_empty_relation(self, n):
+        fast, oracle = both(n, frozenset())
+        agree(fast, oracle)
+        agree(fast.transitive_closure(), oracle)
         assert fast.is_acyclic()
         assert not fast.domain()
 
     @pytest.mark.parametrize("n", (65, 130))
-    def test_full_relation(self, backend, n):
+    def test_full_relation(self, n):
         full = frozenset((a, b) for a in range(n) for b in range(n))
-        fast, oracle = both(n, full, backend)
-        agree(fast, oracle, backend)
-        agree(fast.transitive_closure(), oracle, backend)
+        fast, oracle = both(n, full)
+        agree(fast, oracle)
+        agree(fast.transitive_closure(), oracle)
         assert not fast.is_acyclic()
-        agree(fast.inverse(), oracle, backend)
+        agree(fast.inverse(), oracle)
         assert fast.compose(fast).pairs == full
 
 
 class TestOperatorSequences:
-    """Identical multi-step operator pipelines in every backend."""
+    """Identical multi-step operator pipelines in both representations."""
 
-    @pytest.mark.parametrize("backend", INDEXED)
     @given(case=indexed_pairs(3))
     @settings(max_examples=60, deadline=None)
-    def test_closure_of_union_minus_compose(self, backend, case):
+    def test_closure_of_union_minus_compose(self, case):
         n, (p, q, r) = case
-        dp, op_ = both(n, p, backend)
-        dq, oq = both(n, q, backend)
-        dr, or_ = both(n, r, backend)
+        dp, op_ = both(n, p)
+        dq, oq = both(n, q)
+        dr, or_ = both(n, r)
         fast = ((dp | dq).transitive_closure() - dr.compose(dp)).inverse()
         oracle = ((op_ | oq).transitive_closure() - or_.compose(op_)).inverse()
         assert fast.pairs == oracle.pairs
 
-    @pytest.mark.parametrize("backend", INDEXED)
     @given(case=indexed_pairs(2))
     @settings(max_examples=60, deadline=None)
-    def test_acyclicity_of_combined(self, backend, case):
+    def test_acyclicity_of_combined(self, case):
         n, (p, q) = case
-        dp, op_ = both(n, p, backend)
-        dq, oq = both(n, q, backend)
+        dp, op_ = both(n, p)
+        dq, oq = both(n, q)
         assert (dp | dq).is_acyclic() == (op_ | oq).is_acyclic()
 
 

@@ -23,13 +23,6 @@ class TestParser:
         args = parser.parse_args(argv)
         assert args.jobs == 3 and args.out == "d" and args.trace == "t"
 
-    def test_calibrate_takes_only_out(self):
-        parser = build_parser()
-        assert parser.parse_args(["calibrate"]).out == "."
-        assert parser.parse_args(["calibrate", "--out", "d"]).out == "d"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["calibrate", "--jobs", "3"])
-
     def test_trace_flag_defaults_from_environment(self, monkeypatch):
         monkeypatch.setenv(TRACE_ENV, "/tmp/envtrace")
         args = build_parser().parse_args(["litmus"])

@@ -12,13 +12,11 @@ import shutil
 import pytest
 
 from repro.api import check_program
-from repro.core.executions import static_step_bound
 from repro.core.model import _prepare, check
 from repro.litmus.corpus import CORPUS_DIR
 from repro.litmus.library import get, scaled_chain
 from repro.obs.metrics import RUNTIME
 from repro.perf.audit import audit_corpus
-from repro.solver.router import GATE_STEPS
 
 MP = get("mp_paired").program
 
@@ -33,7 +31,7 @@ class TestEngineSelection:
         assert result.engine == "enum"
 
     def test_auto_follows_the_router_decision(self):
-        """``engine="auto"`` is the calibrated router: whatever
+        """``engine="auto"`` is the static router: whatever
         :func:`repro.solver.router.decide` says is what runs."""
         from repro.solver.router import decide
 
@@ -45,8 +43,8 @@ class TestEngineSelection:
 
     def test_auto_routes_rmw_chains_to_enum(self):
         """ref_counter's deep RMW chains are where the old static gate
-        lost by 100x+: the calibrated router must keep them on the
-        enumerator."""
+        lost by 100x+: the router keeps every program with an RMW on
+        the enumerator."""
         from repro.litmus.dsl import parse
 
         with open(os.path.join(CORPUS_DIR, "ref_counter.litmus")) as handle:
@@ -57,24 +55,6 @@ class TestEngineSelection:
     def test_auto_routes_large_scaling_programs_to_sat(self):
         program = scaled_chain(6)
         assert check(program, "drf0", engine="auto").engine == "sat"
-
-    def test_gate_fallback_without_calibration(self, monkeypatch):
-        """No loadable calibration: auto falls back to PR 8's static
-        step-bound gate."""
-        from repro.solver import router
-
-        monkeypatch.setenv(router.ENV_CALIBRATION, "/nonexistent/cal.json")
-        router.clear_calibration_memo()
-        try:
-            small, large = scaled_chain(2), scaled_chain(6)
-            assert static_step_bound(_prepare(small, "drf0")) \
-                <= GATE_STEPS
-            assert check(small, "drf0", engine="auto").engine == "enum"
-            assert static_step_bound(_prepare(large, "drf0")) \
-                > GATE_STEPS
-            assert check(large, "drf0", engine="auto").engine == "sat"
-        finally:
-            router.clear_calibration_memo()
 
     def test_naive_forces_the_enumerator(self):
         result = check(MP, "drf0", engine="sat", naive=True)
