@@ -44,7 +44,7 @@ from repro.core.paths import Operation
 from repro.core.quantum import quantum_equivalent
 from repro.core.race_kernel import race_pools
 from repro.core.races import Race, RaceAnalysis, race_signature
-from repro.litmus.program import Program
+from repro.litmus.program import Program, structure_key
 from repro.obs.metrics import RUNTIME, metric, record_resolution
 
 MODELS = ("drf0", "drf1", "drfrlx")
@@ -150,12 +150,6 @@ def _prepare(program: Program, model: str) -> Program:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     prepared = program.relabel(_MODEL_RELABEL[model])
     return quantum_equivalent(prepared) if model == "drfrlx" else prepared
-
-
-def _structure_key(program: Program) -> Tuple:
-    """Structural identity of a program, name excluded — preparation,
-    enumeration, and classification are all invariant under renaming."""
-    return (repr(program.threads), tuple(sorted(program.init.items())))
 
 
 class ClassifiedRaces(tuple):
@@ -421,7 +415,7 @@ class Pipeline:
         """One :class:`CheckResult` per model, in *models* order."""
         if self.naive:
             return [self._oracle(program, model) for model in models]
-        structure = _structure_key(program)
+        structure = structure_key(program)
         return [self._check_cell(program, structure, model) for model in models]
 
     def _oracle(self, program: Program, model: str) -> CheckResult:
@@ -483,7 +477,7 @@ class Pipeline:
         if hit is None:
             prepared = _prepare(program, model)
             hit = self.prepared[(structure, model)] = (
-                prepared, _structure_key(prepared)
+                prepared, structure_key(prepared)
             )
         prepared, prep_key = hit
         if prepared.name != program.name:

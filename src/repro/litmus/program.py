@@ -131,3 +131,9 @@ class Program:
             [relabel_body(thread.body) for thread in self.threads],
             self.init,
         )
+
+
+def structure_key(program: Program) -> Tuple:
+    """Structural identity of a program, name excluded — preparation,
+    enumeration, classification and encoding ignore the name."""
+    return (repr(program.threads), tuple(sorted(program.init.items())))

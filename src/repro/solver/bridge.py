@@ -45,8 +45,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.events import Event, Execution, RmwInfo
 from repro.core.executions import EnumStats, SCEnumeration
 from repro.core.labels import AtomicKind
+from repro.obs.metrics import RUNTIME, metric
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.litmus.program import Program
+from repro.litmus.program import Program, structure_key
 from repro.solver.encode import (
     MAX_TRACES_PER_THREAD,
     Encoding,
@@ -91,7 +92,7 @@ class SolverStats:
     encode_s: float = 0.0
     #: Wall seconds spent inside ``solve()`` calls.
     solve_s: float = 0.0
-    #: True when served from a shared (label-erased, cross-model) core.
+    #: True when served from a shared (label-erased, name-free) core.
     shared: bool = False
 
     def counters(self) -> Dict[str, int]:
@@ -525,21 +526,21 @@ def _shape_labels(
 
 
 class SharedCore:
-    """One label-erased encoding serving every model of a program.
+    """One label-erased core for every labeling and name of one structure.
 
-    The three model preparations of a litmus test differ only in their
-    atomic labels (drf0/drf1 relabel; drfrlx additionally
-    quantum-transforms, in which case its erased structure — and hence
-    its core — may differ).  Labels never influence grounding or the
-    CNF, so the erased program encodes once and its AllSAT loop runs
-    once, warm: the CDCL instance keeps its learnt clauses, VSIDS
-    activity and saved phases across blocking iterations *and* across
-    the models/caps served.  Each class is decoded once; :meth:`serve`
-    labels it per model by mapping each shape's static-instruction
-    provenance through the model's label vector, building every served
-    :class:`Event` once per (eid, instance, label) in the core's event
-    table — so one core's executions share event objects across classes
-    and models, as the enumerator's do, and the per-event memos of
+    The labelings, names and model preparations of one structure differ
+    only in labels and names (drfrlx additionally quantum-transforms, in
+    which case its erased structure — and hence its core — may differ),
+    and neither reaches grounding or the CNF, so the erased structure
+    encodes once and its AllSAT loop runs once, warm: the CDCL instance
+    keeps its learnt clauses, VSIDS activity and saved phases across
+    blocking iterations *and* across the requests/caps served.  Each
+    class is decoded once; :meth:`serve` labels it per request by
+    mapping each shape's static-instruction provenance through the
+    program's label vector, building every served :class:`Event` once
+    per (eid, instance, label) in the core's event table — so one
+    core's executions share event objects across classes and labelings,
+    as the enumerator's do, and the per-event memos of
     :func:`repro.core.races.race_signature` and :class:`Event` hit.
 
     Everything served is byte-identical to a one-shot encoding of the
@@ -555,7 +556,6 @@ class SharedCore:
     """
 
     def __init__(self, erased: Program, max_traces: int = MAX_TRACES_PER_THREAD):
-        self.program = erased
         self.enc: Optional[Encoding] = Encoding(erased, max_traces)
         self.encode_s = self.enc.encode_s
         self.truncated = self.enc.truncated
@@ -632,8 +632,8 @@ class SharedCore:
         max_executions: Optional[int],
         expand_registers: bool,
     ) -> SCEnumeration:
-        """The enumeration of *program* (a labeling of this core's
-        erased program), byte-identical to a one-shot sat run."""
+        """The enumeration of *program* (any labeling and name of this
+        core's erased structure), byte-identical to a one-shot sat run."""
         cap = (
             max_executions if max_executions is not None
             else DEFAULT_MAX_CLASSES
@@ -674,10 +674,24 @@ class SharedCore:
         )
 
 
-#: In-process core memo: (erased program repr, max_traces) -> SharedCore,
-#: or the SolverCapacityError its construction raised (negative caching —
-#: one doomed grounding per structure, not one per model per request).
-_CORE_MEMO: Dict[Tuple[str, int], object] = {}
+CORE_BUILT = metric(
+    "solver_core_built", "solver", unit="cores",
+    doc="shared SAT cores encoded (memo misses that grounded)",
+)
+CORE_REUSED = metric(
+    "solver_core_reused", "solver", unit="cores",
+    doc="shared SAT cores served from the in-process memo",
+)
+CORE_EVICTED = metric(
+    "solver_core_evicted", "solver", unit="cores",
+    doc="core memo entries dropped to make room (oldest first)",
+)
+
+#: In-process core memo: (structure key of the label-erased program,
+#: max_traces) -> SharedCore, or the SolverCapacityError its construction
+#: raised (negative caching — one doomed grounding per structure, not one
+#: per labeling per request).
+_CORE_MEMO: Dict[Tuple[Tuple, int], object] = {}
 _CORE_MEMO_MAX = 32
 
 
@@ -686,18 +700,20 @@ def clear_core_memo() -> None:
     _CORE_MEMO.clear()
 
 
-def _memo_put(key: Tuple[str, int], value: object) -> None:
+def _memo_put(key: Tuple[Tuple, int], value: object) -> None:
     if key not in _CORE_MEMO and len(_CORE_MEMO) >= _CORE_MEMO_MAX:
         _CORE_MEMO.pop(next(iter(_CORE_MEMO)))
+        RUNTIME.bump(CORE_EVICTED)
     _CORE_MEMO[key] = value
 
 
 def _core_for(erased: Program, max_traces: int) -> SharedCore:
-    key = (repr(erased), max_traces)
+    key = (structure_key(erased), max_traces)
     hit = _CORE_MEMO.get(key)
     if isinstance(hit, SolverCapacityError):
         raise SolverCapacityError(*hit.args)
     if isinstance(hit, SharedCore):
+        RUNTIME.bump(CORE_REUSED)
         return hit
     try:
         core = SharedCore(erased, max_traces)
@@ -707,6 +723,7 @@ def _core_for(erased: Program, max_traces: int) -> SharedCore:
         # copy and every hit raises a fresh one.
         _memo_put(key, SolverCapacityError(*exc.args))
         raise
+    RUNTIME.bump(CORE_BUILT)
     _memo_put(key, core)
     return core
 
@@ -730,11 +747,11 @@ def sat_enumeration(
     and ignored: neither enumerations nor cores are cached on disk (only
     results are; see :mod:`repro.perf.cache`).
 
-    ``shared=True`` (the default) serves from the label-erased
-    :class:`SharedCore` memo, so checking one program against all three
-    models encodes and solves once; pass ``shared=False`` to force a
-    fresh one-shot encoding (what the benchmarks and identity tests
-    compare against).  A tracer disables sharing — its per-solve events
+    ``shared=True`` (the default) serves from the :class:`SharedCore`
+    memo, keyed on the label-erased, name-free structure, so every
+    labeling and name of one structure encodes and solves once; pass
+    ``shared=False`` to force a fresh one-shot encoding (what the
+    benchmarks and identity tests compare against).  A tracer disables sharing — its per-solve events
     should describe this run, not whichever request warmed the core.
     """
     tracer = tracer if tracer is not None else NULL_TRACER

@@ -10,9 +10,12 @@ deterministic solver counters (decisions, conflicts, propagations,
 learned clauses, restarts) — must match a fresh ``shared=False`` run
 exactly, at every execution cap, resumed or cold.  Random programs
 (hypothesis) probe the identity; crafted CNFs pin the clause-group
-machinery the warm instance is built on.  ``TestSpeedup`` holds the
-shared core to its reason for existing: a 3-model audit at least twice
-as fast as one-shot solving.  It is a timing gate, so it runs only with
+machinery the warm instance is built on.  ``TestStructuralSharing``
+holds the core memo to its key: every labeling and name of one
+structure shares one core, and served payloads do not depend on which
+request warmed it.  ``TestSpeedup`` holds the shared core to its
+reason for existing: a 3-model audit at least twice as fast as one-shot
+solving.  It is a timing gate, so it runs only with
 ``REPRO_TIMING_GATES=1`` set (CI's solver-smoke job sets it).
 """
 
@@ -29,6 +32,9 @@ from repro.core.model import MODELS, _prepare
 from repro.core.races import race_signature
 from repro.litmus.corpus import load_corpus
 from repro.litmus.library import SCALED_KINDS, get, scaled_chain, scaled_mp
+from repro.litmus.program import structure_key
+from repro.litmus.render import render
+from repro.obs.metrics import RUNTIME
 from repro.obs.tracer import NULL_TRACER
 from repro.solver import SolverCapacityError, sat_enumeration
 from repro.solver import bridge
@@ -165,7 +171,8 @@ class TestWarmResume:
         clear_core_memo()
         for model in MODELS:
             sat_enumeration(_prepare(MP, model), shared=True)
-        erased = {key[0] for key in _CORE_MEMO}
+        erased = {structure for structure, _max_traces in _CORE_MEMO}
+        assert structure_key(erase_labels(_prepare(MP, "drf0"))) in erased
         # drf0/drf1 share a preparation; drfrlx adds quantum havoc, so at
         # most two distinct erased structures back the three models.
         assert 1 <= len(erased) <= 2
@@ -228,7 +235,9 @@ def assert_served_executions(program):
         assert [_fields(e) for e in served.executions] == \
             [_fields(e) for e in one.executions], f"{program.name}/{model}"
         if served.solver_stats.shared:
-            by_core.setdefault(repr(erase_labels(prepared)), []).append(served)
+            by_core.setdefault(
+                structure_key(erase_labels(prepared)), []
+            ).append(served)
     for enumerations in by_core.values():
         for a, b in zip(enumerations, enumerations[1:]):
             for ex_a, ex_b in zip(a.executions, b.executions):
@@ -299,6 +308,60 @@ class TestCoreMemo:
         assert isinstance(memoized, SolverCapacityError)
         assert memoized.__traceback__ is None
         clear_core_memo()
+
+
+def _labelings(build):
+    """The five ``SCALED_KINDS`` labelings of *build* at n=5: one
+    structure under five names."""
+    return [build(5, kind) for kind in SCALED_KINDS.values()]
+
+
+class TestStructuralSharing:
+    """The core memo is keyed on the label-erased, name-free structure,
+    so every labeling and name of one structure shares one core."""
+
+    @pytest.mark.parametrize("build", [scaled_mp, scaled_chain])
+    def test_labelings_share_one_core(self, build):
+        clear_core_memo()
+        built = RUNTIME.get("solver_core_built")
+        for program in _labelings(build):
+            for model in MODELS:
+                prepared = _prepare(program, model)
+                served = sat_enumeration(prepared, shared=True)
+                one = sat_enumeration(prepared, shared=False)
+                assert served.program is prepared
+                assert _observables(served) == _observables(one), (
+                    f"{program.name}/{model}"
+                )
+        # The erased structure every labeling shares, plus the quantum
+        # labeling's drfrlx preparation (quantum-transformed: havoc).
+        assert len(bridge._CORE_MEMO) == 2
+        assert RUNTIME.get("solver_core_built") - built == 2
+
+    def test_served_payloads_do_not_depend_on_the_warming_request(self):
+        """A core warmed under another name and labeling serves the
+        payload a cold memo would, in either request order."""
+        from repro.api import check_program, encode
+
+        programs = _labelings(scaled_mp) + _labelings(scaled_chain)
+
+        def payload(program):
+            return encode(check_program(
+                source=render(program), engine="auto", cache=False, jobs=1,
+            ))
+
+        cold = {}
+        for program in programs:
+            clear_core_memo()
+            cold[program.name] = payload(program)
+        assert all('"shared":true' in p for p in cold.values())
+        for order in (programs, programs[::-1]):
+            clear_core_memo()
+            built = RUNTIME.get("solver_core_built")
+            for program in order:
+                assert payload(program) == cold[program.name], program.name
+            # One core per family, plus each quantum labeling's drfrlx one.
+            assert RUNTIME.get("solver_core_built") - built == 4
 
 
 class TestCollisionFallback:
