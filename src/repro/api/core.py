@@ -5,23 +5,27 @@ Every entry point — the ``python -m repro`` CLI subcommands, the
 ``python -m repro serve`` service, and library callers — goes through
 the same three layers:
 
-1. :func:`handle_request` validates a raw v1 request
-   (:mod:`repro.api.schema`) and wraps execution errors into the
-   response envelope;
-2. :func:`execute_request` consults the content-addressed response
-   cache (:mod:`repro.perf.cache`) and, on a miss, splits the request
-   into **shards**, the units :func:`merge_shards` combines (one model
-   per check, one workload per sweep, one corpus file per audit, one
-   :data:`BATCH_SHARD_PROGRAMS`-program slice per batch);
+1. :func:`parse_request` decodes and validates a raw v1 request
+   (:mod:`repro.api.schema`);
+2. one request executor consults the content-addressed response cache
+   (:mod:`repro.perf.cache`) and, on a miss, splits the request into
+   **shards**, the units :func:`merge_shards` combines (one model per
+   check, one workload per sweep, one corpus file per audit, one
+   :data:`BATCH_SHARD_PROGRAMS`-program slice per batch), then stores
+   the merged result and wraps errors into the response envelope;
 3. the shards run as tasks: a check request is **one** task,
    :func:`execute_check_shards`, which checks all its models in one
    :class:`~repro.core.model.Pipeline` (one parse, one shared
    enumeration, one race memo); every sweep, audit and batch shard is a
-   task of its own, :func:`execute_shard`, spread over the warm
-   :mod:`repro.perf.pool` executor.  Both are module-level functions of
-   JSON-able dicts, so they ship to pool workers by reference and
-   produce the same bytes whether they ran inline, in a process pool,
-   or under the asyncio service.
+   task of its own, :func:`execute_shard`.  Both are module-level
+   functions of JSON-able dicts, so they ship to pool workers by
+   reference and produce the same bytes wherever they run.
+
+The executor is the same for every front end; only how a list of tasks
+runs differs.  :func:`handle_request` runs one task inline and fans
+several out over :func:`repro.perf.pool.parallel_map`;
+:class:`repro.serve.Service` runs the executor on its dispatcher threads
+and sends each task to its warm process pool.
 
 The façade functions :func:`check_program`, :func:`run_sweep_request`,
 :func:`audit_request`, and :func:`generate_figures` are thin wrappers
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.schema import (
     ApiError,
@@ -341,35 +345,31 @@ def execute_shard(shard: Dict[str, Any]) -> Dict[str, Any]:
             ],
         }
     if kind == "audit_file":
-        from repro.perf.audit import _audit_file
+        from repro.litmus.corpus import _parse_expectations
+        from repro.litmus.dsl import parse
 
+        # One pipeline checks every model the file's header declares, so
+        # the models share one enumeration.
         options = shard["options"]
-        result = _audit_file(
-            (shard["path"], options["dedup"], options["engine"])
-        )
-        # solver_stats rides along only for sat-engine checks, so the
-        # payload for enum audits (every pre-existing fixture) is
-        # byte-for-byte what it was before the field existed.
+        with open(shard["path"]) as handle:
+            text = handle.read()
+        program = parse(text)
+        expected = sorted(_parse_expectations(text).items())
+        pipeline = Pipeline(dedup=options["dedup"], engine=options["engine"])
+        results = pipeline.check_models(program, [model for model, _ in expected])
+        verdicts: Dict[str, Any] = {}
+        for (model, (legal, _kinds)), result in zip(expected, results):
+            payload = _check_payload(result)
+            verdicts[model] = {"expected": legal, "actual": result.legal}
+            verdicts[model].update(
+                (field, payload[field])
+                for field in ("race_kinds", "engine", "solver_stats")
+                if field in payload
+            )
         return {
-            "name": result.name,
-            "ok": result.ok,
-            "verdicts": {
-                model: dict(
-                    {
-                        "expected": expected,
-                        "actual": actual,
-                        "race_kinds": list(kinds),
-                        "engine": result.engines.get(model, "enum"),
-                    },
-                    **(
-                        {"solver_stats": result.solver_stats[model]}
-                        if model in result.solver_stats else {}
-                    ),
-                )
-                for model, (expected, actual, kinds) in sorted(
-                    result.verdicts.items()
-                )
-            },
+            "name": program.name,
+            "ok": all(v["expected"] == v["actual"] for v in verdicts.values()),
+            "verdicts": verdicts,
         }
     raise ApiError("internal", f"unknown shard kind {kind!r}")
 
@@ -506,6 +506,73 @@ def request_is_cacheable(normalized: Dict[str, Any]) -> bool:
     return not normalized.get("options", {}).get("trace", False)
 
 
+#: How a front end runs a request's tasks: ``run(fn, tasks)`` returns
+#: ``[fn(task) for task in tasks]``, in task order, wherever it runs them.
+Run = Callable[[Callable[[Any], Any], List[Any]], List[Any]]
+
+
+def _execute(
+    normalized: Dict[str, Any], store: Optional[ResultCache], run: Run
+) -> Tuple[Dict[str, Any], bool]:
+    """A normalized request's result payload and whether *store* had it.
+
+    Cache lookup, shard, run, merge, store.  A check request is **one**
+    task (:func:`execute_check_shards`); batch, sweep and audit requests
+    give *run* one :func:`execute_shard` task per shard.
+    """
+    key = None
+    if store is not None and request_is_cacheable(normalized):
+        key = request_cache_key(store, normalized)
+        hit, value = store.get(key)
+        if hit and isinstance(value, dict):
+            return value, True
+    root = store.root if store is not None else None
+    shards = shard_request(normalized, cache_root=root)
+    if normalized["kind"] == "check":
+        [parts] = run(execute_check_shards, [shards])
+    else:
+        parts = run(execute_shard, shards)
+    result = merge_shards(normalized, parts)
+    if key is not None:
+        store.put(key, result)
+    return result, False
+
+
+def _respond(
+    normalized: Dict[str, Any], store: Optional[ResultCache], run: Run
+) -> Tuple[Dict[str, Any], bool]:
+    """:func:`_execute` as a v1 response envelope plus the cache-hit flag.
+
+    The one request executor: :func:`handle_request` runs it in the
+    calling process, and :class:`repro.serve.Service` on its dispatcher
+    threads with a *run* that feeds the warm pool.  Unknown names and
+    internal failures come back as ``ok: false`` envelopes.
+    """
+    try:
+        result, hit = _execute(normalized, store, run)
+    except ApiError as err:
+        return error_response(
+            err.code, err.message,
+            request_id=normalized["id"], kind=normalized["kind"],
+        ), False
+    except Exception as err:
+        return error_response(
+            "internal", f"{type(err).__name__}: {err}",
+            request_id=normalized["id"], kind=normalized["kind"],
+        ), False
+    return ok_response(normalized, result), hit
+
+
+def _local_run(jobs: Optional[int]) -> Run:
+    """Run one task inline and fan several out over
+    :func:`repro.perf.pool.parallel_map`."""
+    def run(fn: Callable[[Any], Any], tasks: List[Any]) -> List[Any]:
+        if len(tasks) == 1:
+            return [fn(tasks[0])]
+        return parallel_map(fn, tasks, jobs=jobs)
+    return run
+
+
 def execute_request(
     normalized: Dict[str, Any],
     cache: CacheSpec = None,
@@ -517,27 +584,30 @@ def execute_request(
     (:func:`execute_check_shards`).  ``jobs`` fans the shards of batch,
     sweep and audit requests out over
     :func:`repro.perf.pool.parallel_map` (``1``, the default, runs them
-    inline; ``None`` auto-resolves a worker count).  The asyncio service
-    uses its own dispatcher over the same tasks instead, so both paths
-    produce identical payloads.
+    inline; ``None`` auto-resolves a worker count).  Raises
+    :class:`ApiError` for unknown names.
     """
-    store = resolve_cache(cache)
-    key = None
-    if store is not None and request_is_cacheable(normalized):
-        key = request_cache_key(store, normalized)
-        hit, value = store.get(key)
-        if hit and isinstance(value, dict):
-            return value
-    root = store.root if store is not None else None
-    shards = shard_request(normalized, cache_root=root)
-    if normalized["kind"] == "check":
-        parts = execute_check_shards(shards)
-    else:
-        parts = parallel_map(execute_shard, shards, jobs=jobs)
-    result = merge_shards(normalized, parts)
-    if key is not None:
-        store.put(key, result)
-    return result
+    return _execute(normalized, resolve_cache(cache), _local_run(jobs))[0]
+
+
+def parse_request(
+    request: Any,
+) -> Tuple[Optional[Dict[str, Any]], Optional[Dict[str, Any]]]:
+    """Decode and validate one raw request.
+
+    Returns ``(normalized, None)``, or ``(None, error envelope)`` when
+    *request* is not a valid v1 request; the envelope echoes whatever
+    ``id`` and ``kind`` could be salvaged from it.
+    """
+    raw_id, raw_kind = salvage_identity(request)
+    try:
+        obj = decode(request) if isinstance(request, (str, bytes)) else request
+        raw_id, raw_kind = salvage_identity(obj)
+        return validate_request(obj), None
+    except SchemaError as err:
+        return None, error_response(
+            err.code, err.message, request_id=raw_id, kind=raw_kind
+        )
 
 
 def handle_request(
@@ -551,26 +621,10 @@ def handle_request(
     object.  Schema violations, unknown names, and internal failures all
     come back as ``ok: false`` envelopes — this function does not raise.
     """
-    raw_id, raw_kind = salvage_identity(request)
-    try:
-        obj = decode(request) if isinstance(request, (str, bytes)) else request
-        raw_id, raw_kind = salvage_identity(obj)
-        normalized = validate_request(obj)
-    except SchemaError as err:
-        return error_response(err.code, err.message, request_id=raw_id, kind=raw_kind)
-    try:
-        result = execute_request(normalized, cache=cache, jobs=jobs)
-    except ApiError as err:
-        return error_response(
-            err.code, err.message,
-            request_id=normalized["id"], kind=normalized["kind"],
-        )
-    except Exception as err:  # pragma: no cover - defensive
-        return error_response(
-            "internal", f"{type(err).__name__}: {err}",
-            request_id=normalized["id"], kind=normalized["kind"],
-        )
-    return ok_response(normalized, result)
+    normalized, error = parse_request(request)
+    if error is not None:
+        return error
+    return _respond(normalized, resolve_cache(cache), _local_run(jobs))[0]
 
 
 # -- the façade ----------------------------------------------------------------

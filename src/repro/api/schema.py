@@ -242,16 +242,21 @@ def _validate_models(models: Any) -> List[str]:
     return seen
 
 
-def _validate_check_options(options: Any) -> Dict[str, Any]:
+#: The options each request kind accepts.  A batch never captures
+#: traces (its payloads must stay small and cacheable), so ``trace`` is
+#: rejected there rather than silently dropped.
+CHECK_OPTIONS = ("backend", "dedup", "exhaustive", "max_executions", "trace", "engine")
+BATCH_OPTIONS = tuple(name for name in CHECK_OPTIONS if name != "trace")
+AUDIT_OPTIONS = ("backend", "dedup", "engine")
+
+
+def _validate_options(options: Any, fields: Sequence[str]) -> Dict[str, Any]:
+    """Normalize an ``options`` object that may carry only *fields*."""
     if options is None:
         options = {}
     if not isinstance(options, dict):
         raise _bad("options", f"expected an object, got {type(options).__name__}")
-    _require_keys(
-        options,
-        ("backend", "dedup", "exhaustive", "max_executions", "trace", "engine"),
-        "options",
-    )
+    _require_keys(options, fields, "options")
     max_executions = options.get("max_executions")
     if max_executions is not None and (
         isinstance(max_executions, bool)
@@ -259,7 +264,7 @@ def _validate_check_options(options: Any) -> Dict[str, Any]:
         or max_executions < 1
     ):
         raise _bad("options.max_executions", "expected a positive integer or null")
-    return {
+    normalized = {
         "backend": _choice(options, "backend", BACKENDS, "auto", "options",
                            BACKEND_ALIASES),
         "dedup": _bool(options, "dedup", True, "options"),
@@ -269,52 +274,7 @@ def _validate_check_options(options: Any) -> Dict[str, Any]:
         "engine": _choice(options, "engine", CHECK_ENGINES, "enum", "options",
                           CHECK_ENGINE_ALIASES),
     }
-
-
-def _validate_batch_options(options: Any) -> Dict[str, Any]:
-    """Check options minus ``trace`` — a batch never captures traces
-    (the payloads must stay small and cacheable), so the field is
-    rejected rather than silently dropped."""
-    if options is None:
-        options = {}
-    if not isinstance(options, dict):
-        raise _bad("options", f"expected an object, got {type(options).__name__}")
-    _require_keys(
-        options,
-        ("backend", "dedup", "exhaustive", "max_executions", "engine"),
-        "options",
-    )
-    max_executions = options.get("max_executions")
-    if max_executions is not None and (
-        isinstance(max_executions, bool)
-        or not isinstance(max_executions, int)
-        or max_executions < 1
-    ):
-        raise _bad("options.max_executions", "expected a positive integer or null")
-    return {
-        "backend": _choice(options, "backend", BACKENDS, "auto", "options",
-                           BACKEND_ALIASES),
-        "dedup": _bool(options, "dedup", True, "options"),
-        "exhaustive": _bool(options, "exhaustive", True, "options"),
-        "max_executions": max_executions,
-        "engine": _choice(options, "engine", CHECK_ENGINES, "enum", "options",
-                          CHECK_ENGINE_ALIASES),
-    }
-
-
-def _validate_audit_options(options: Any) -> Dict[str, Any]:
-    if options is None:
-        options = {}
-    if not isinstance(options, dict):
-        raise _bad("options", f"expected an object, got {type(options).__name__}")
-    _require_keys(options, ("backend", "dedup", "engine"), "options")
-    return {
-        "backend": _choice(options, "backend", BACKENDS, "auto", "options",
-                           BACKEND_ALIASES),
-        "dedup": _bool(options, "dedup", True, "options"),
-        "engine": _choice(options, "engine", CHECK_ENGINES, "enum", "options",
-                          CHECK_ENGINE_ALIASES),
-    }
+    return {name: normalized[name] for name in fields}
 
 
 def validate_request(obj: Any) -> Dict[str, Any]:
@@ -356,7 +316,7 @@ def validate_request(obj: Any) -> Dict[str, Any]:
             "id": request_id,
             "program": _validate_program(obj["program"]),
             "models": _validate_models(obj.get("models")),
-            "options": _validate_check_options(obj.get("options")),
+            "options": _validate_options(obj.get("options"), CHECK_OPTIONS),
         }
     if kind == "batch":
         _require_keys(obj, common + ("programs", "models", "options"), "request")
@@ -383,7 +343,7 @@ def validate_request(obj: Any) -> Dict[str, Any]:
             "id": request_id,
             "programs": normalized_programs,
             "models": _validate_models(obj.get("models")),
-            "options": _validate_batch_options(obj.get("options")),
+            "options": _validate_options(obj.get("options"), BATCH_OPTIONS),
         }
     if kind == "sweep":
         _require_keys(obj, common + ("workloads", "scale", "engine"), "request")
@@ -414,7 +374,7 @@ def validate_request(obj: Any) -> Dict[str, Any]:
         "schema_version": SCHEMA_VERSION,
         "kind": "audit",
         "id": request_id,
-        "options": _validate_audit_options(obj.get("options")),
+        "options": _validate_options(obj.get("options"), AUDIT_OPTIONS),
     }
 
 

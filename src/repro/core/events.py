@@ -147,14 +147,6 @@ class Execution:
         return tuple(e for e in self.events if not e.is_init)
 
     @cached_property
-    def init_events(self) -> Tuple[Event, ...]:
-        return tuple(e for e in self.events if e.is_init)
-
-    def with_label(self, *labels: AtomicKind) -> FrozenSet[Event]:
-        wanted = set(labels)
-        return frozenset(e for e in self.program_events if e.label in wanted)
-
-    @cached_property
     def reads(self) -> FrozenSet[Event]:
         return frozenset(e for e in self.program_events if e.is_read)
 

@@ -284,12 +284,6 @@ class DenseRelation:
                 f"{len(index.elements)} elements"
             )
 
-    @classmethod
-    def from_pairs(
-        cls, index: EventIndex, pairs: Iterable[Pair]
-    ) -> "DenseRelation":
-        return index.relation(pairs)
-
     # -- basic container protocol -------------------------------------------------
     def __contains__(self, pair: Pair) -> bool:
         a, b = pair
@@ -298,10 +292,6 @@ class DenseRelation:
         ib = ids.get(b)
         if ia is None or ib is None:
             return False
-        return bool(self.rows[ia] >> ib & 1)
-
-    def contains_ids(self, ia: int, ib: int) -> bool:
-        """Membership by interned ids (the hot-path query)."""
         return bool(self.rows[ia] >> ib & 1)
 
     def __iter__(self) -> Iterator[Pair]:

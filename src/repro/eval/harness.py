@@ -47,15 +47,8 @@ from repro.perf.cache import (
 from repro.perf.pool import parallel_map
 from repro.sim import ENGINES
 from repro.sim.config import INTEGRATED, SystemConfig
-from repro.sim.system import CONFIG_ABBREV, RunResult, all_configurations, run_workload
-from repro.workloads.base import (
-    BENCH_NAMES,
-    FIGURE1_NAMES,
-    MICRO_NAMES,
-    Workload,
-    all_workloads,
-    get,
-)
+from repro.sim.system import CONFIG_ABBREV, all_configurations, run_workload
+from repro.workloads.base import BENCH_NAMES, FIGURE1_NAMES, MICRO_NAMES, get
 
 #: Figure 3/4 configuration order.
 CONFIG_ORDER = ("GD0", "GD1", "GDR", "DD0", "DD1", "DDR")
@@ -289,11 +282,6 @@ def decode_observation(value) -> Optional[Observation]:
         return None
 
 
-# Backwards-compatible aliases (pre-API-façade private names).
-_encode_observation = encode_observation
-_decode_observation = decode_observation
-
-
 def run_sweep(
     workload_names: Sequence[str],
     config: SystemConfig = INTEGRATED,
@@ -331,11 +319,19 @@ def run_sweep(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    sweep = SweepResult()
     tasks = _sweep_tasks(
         workload_names, config, scale, energy_model, trace_dir, engine
     )
     store = resolve_cache(cache) if trace_dir is None else None
+    return _run_cells(tasks, store, jobs)
+
+
+def _run_cells(
+    tasks: Sequence[_SweepTask], store: Optional[ResultCache], jobs: Optional[int]
+) -> SweepResult:
+    """The cell path every sweep shares: read known cells from *store*,
+    dispatch only the misses over the pool, store what they observed."""
+    sweep = SweepResult()
     code = code_fingerprint(SWEEP_CODE_PACKAGES) if store is not None else ""
     results: List[Optional[Observation]] = [None] * len(tasks)
     keys: List[Optional[str]] = [None] * len(tasks)
@@ -344,7 +340,7 @@ def run_sweep(
         if store is not None and _cell_cacheable(task[0]):
             key = _cell_key(store, task, code)
             found, value = store.get(key)
-            obs = _decode_observation(value) if found else None
+            obs = decode_observation(value) if found else None
             if obs is not None:
                 results[index] = obs
                 sweep.cache_hits += 1
@@ -359,7 +355,7 @@ def run_sweep(
     ):
         results[index] = obs
         if keys[index] is not None:
-            store.put(keys[index], _encode_observation(obs))
+            store.put(keys[index], encode_observation(obs))
     for obs in results:
         assert obs is not None
         sweep.add(obs)
@@ -402,16 +398,6 @@ def run_figure4(
     )
 
 
-def _run_figure1_task(task: Tuple[str, str, float]) -> Tuple[str, str, float]:
-    """Worker for one Figure 1 run: (workload, model) -> cycles."""
-    from repro.sim.config import DISCRETE
-
-    name, model, scale = task
-    kernel = get(name).build(DISCRETE, scale)
-    result = run_workload(kernel, "gpu", model, DISCRETE)
-    return (name, model, result.cycles)
-
-
 def run_figure1(
     scale: float = 1.0,
     jobs: Optional[int] = None,
@@ -422,51 +408,18 @@ def run_figure1(
     For each atomic-heavy workload, the speedup of GPU coherence with
     DRFrlx (relaxed atomics honored) over GPU coherence with DRF0 (every
     atomic treated as an SC atomic), on the discrete-GPU configuration.
+    The two cells (GDR and GD0) run as sweep tasks, so they share the
+    sweep's cache and dispatch.
     """
     from repro.sim.config import DISCRETE
 
     tasks = [
-        (name, model, scale)
+        (name, "gpu", model, DISCRETE, scale, DEFAULT_ENERGY_MODEL, None, "auto")
         for name in FIGURE1_NAMES
         for model in ("drf0", "drfrlx")
     ]
-    store = resolve_cache(cache)
-    cycles: Dict[Tuple[str, str], float] = {}
-    keys: Dict[Tuple[str, str], str] = {}
-    misses: List[Tuple[str, str, float]] = []
-    if store is not None:
-        code = code_fingerprint(SWEEP_CODE_PACKAGES)
-        for task in tasks:
-            name, model, _ = task
-            if not _cell_cacheable(name):
-                misses.append(task)
-                continue
-            key = store.key(
-                "figure1_cell",
-                {
-                    "workload": name,
-                    "protocol": "gpu",
-                    "model": model,
-                    "scale": scale,
-                    "config": asdict(DISCRETE),
-                    "code": code,
-                },
-            )
-            found, value = store.get(key)
-            if found and isinstance(value, (int, float)) and not isinstance(value, bool):
-                cycles[(name, model)] = float(value)
-            else:
-                keys[(name, model)] = key
-                misses.append(task)
-    else:
-        misses = tasks
-
-    for name, model, value in parallel_map(_run_figure1_task, misses, jobs=jobs):
-        cycles[(name, model)] = value
-        key = keys.get((name, model))
-        if store is not None and key is not None:
-            store.put(key, value)
+    sweep = _run_cells(tasks, resolve_cache(cache), jobs)
     return {
-        name: cycles[(name, "drf0")] / cycles[(name, "drfrlx")]
+        name: sweep.get(name, "GD0").cycles / sweep.get(name, "GDR").cycles
         for name in FIGURE1_NAMES
     }

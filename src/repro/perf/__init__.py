@@ -6,7 +6,6 @@
 - :mod:`repro.perf.cache` — persistent content-addressed JSON cache of
   API responses and sweep cells (``REPRO_CACHE_DIR`` env override;
   entries self-invalidate when the sources that compute them change).
-- :mod:`repro.perf.audit` — parallel verdict audit of the litmus corpus.
 
 Speed is measured by the repository benchmark, ``e2ebench/run.py``
 (``BENCHMARK.json``).  See ``docs/performance.md`` for usage, how to

@@ -52,8 +52,9 @@ import importlib
 import json
 import os
 import tempfile
+import threading
 from functools import lru_cache
-from typing import Any, Iterable, Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -126,6 +127,12 @@ def _canonical(material: Any) -> str:
     return json.dumps(material, sort_keys=True, separators=(",", ":"), default=repr)
 
 
+#: Guards every store's ``hits``/``misses``/``stores`` increments: the
+#: service's dispatcher threads share one store.  Module-level, so a
+#: store stays picklable.
+_COUNTS_LOCK = threading.Lock()
+
+
 class ResultCache:
     """A content-addressed on-disk cache: key hash -> value file.
 
@@ -170,18 +177,21 @@ class ResultCache:
             ):
                 raise ValueError("malformed cache record")
         except FileNotFoundError:
-            self.misses += 1
+            with _COUNTS_LOCK:
+                self.misses += 1
             return False, None
         except Exception:
             # Garbage from a crash mid-write (or a foreign file): drop it
             # so the subsequent put() rewrites a clean entry.
-            self.misses += 1
+            with _COUNTS_LOCK:
+                self.misses += 1
             try:
                 os.unlink(path)
             except OSError:
                 pass
             return False, None
-        self.hits += 1
+        with _COUNTS_LOCK:
+            self.hits += 1
         return True, record["value"]
 
     def put(self, key: str, value: Any) -> str:
@@ -218,7 +228,8 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self.stores += 1
+        with _COUNTS_LOCK:
+            self.stores += 1
         return path
 
     # -- maintenance -----------------------------------------------------------

@@ -13,61 +13,39 @@ transports:
 
 Architecture (see ``docs/serve.md``)::
 
-    transport -> validate -> bounded queue -> dispatchers -> tasks
-                                  |                            |
-                               busy/429                 warm perf.pool
-                                                     (+ perf.cache store)
+    transport -> validate -> bounded queue -> dispatcher threads -> tasks
+                                  |            (repro.api executor)    |
+                               busy/429                         warm perf.pool
+                                                             (+ perf.cache store)
 
 Requests are validated at submission (schema errors answer immediately
 without occupying a queue slot), then buffered in a **bounded queue**:
 the stdin transport simply stops reading when it fills (natural pipe
 backpressure), while the HTTP transport answers ``429`` with a ``busy``
-envelope.  Dispatcher coroutines pull requests, consult the
-content-addressed response cache (identical requests are O(1) warm
-hits), and on a miss run the request's tasks on the warm
-:mod:`repro.perf.pool` executor: a check request is one task that
-checks all its models in one pipeline, while sweeps, audits and batches
-fan out one task per shard (one workload, one corpus file, one batch
-slice), so tasks of concurrent requests interleave on the same
-workers.  Responses are deterministic and
-byte-identical to direct :func:`repro.api.handle_request` calls.
-
-:func:`generate_load` is the in-process load generator: it drives a
-fresh service with a request mix and records per-request latency and
-sustained checks/sec, cold vs warm.
+envelope.  Dispatcher coroutines pull requests and hand each to a
+dispatcher thread, which runs the same executor as
+:func:`repro.api.handle_request`: it consults the content-addressed
+response cache (identical requests are O(1) warm hits) and on a miss
+runs the request's tasks on the warm :mod:`repro.perf.pool` executor.
+A check request is one task that checks all its models in one
+pipeline, while sweeps, audits and batches fan out one task per shard
+(one workload, one corpus file, one batch slice), so tasks of
+concurrent requests interleave on the same workers.  Responses are
+deterministic and byte-identical to direct
+:func:`repro.api.handle_request` calls.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
 from pickle import PicklingError
 from typing import Any, AsyncIterator, Callable, Dict, Iterable, List, Optional, Union
 
-from repro.api.core import (
-    execute_check_shards,
-    execute_shard,
-    merge_shards,
-    request_cache_key,
-    request_is_cacheable,
-    shard_request,
-)
-from repro.api.schema import (
-    ApiError,
-    SchemaError,
-    decode,
-    encode,
-    error_response,
-    http_status,
-    ok_response,
-    salvage_identity,
-    validate_request,
-)
+from repro.api.core import _respond, parse_request
+from repro.api.schema import encode, error_response, http_status
 from repro.obs.metrics import (
     SERVE_BUSY,
     SERVE_CACHE_HIT,
@@ -83,13 +61,17 @@ from repro.perf.pool import ensure_executor, warm_worker_count
 #: stdin transport stops reading.
 DEFAULT_QUEUE_LIMIT = 64
 
+#: How a pool task fails when the pool, not the task, is at fault; the
+#: service then runs the task inline.
+_POOL_FAILURES = (BrokenProcessPool, PicklingError, OSError)
+
 
 class Service:
     """The queue + dispatcher core shared by every transport.
 
     ``jobs`` sizes the warm process pool (``None`` auto-resolves; ``1``
-    or a single-CPU host runs tasks on a single worker thread instead
-    — correct, just serial).  ``cache`` is a
+    or a single-CPU host runs tasks inline on the dispatcher threads
+    instead — correct, just serial).  ``cache`` is a
     :data:`~repro.perf.cache.CacheSpec` for the shared response store
     (default: on, at the default cache directory).  ``queue_limit``
     bounds buffered requests; ``concurrency`` caps in-flight requests
@@ -164,19 +146,13 @@ class Service:
 
     def _validated(self, request: Any):
         """Parse + validate, or an immediately-completed error future."""
-        loop = asyncio.get_running_loop()
-        raw_id, raw_kind = salvage_identity(request)
-        try:
-            obj = decode(request) if isinstance(request, (str, bytes)) else request
-            raw_id, raw_kind = salvage_identity(obj)
-            return validate_request(obj), None
-        except SchemaError as err:
-            self.metrics.bump(SERVE_ERROR)
-            fut = loop.create_future()
-            fut.set_result(
-                error_response(err.code, err.message, request_id=raw_id, kind=raw_kind)
-            )
-            return None, fut
+        normalized, error = parse_request(request)
+        if error is None:
+            return normalized, None
+        self.metrics.bump(SERVE_ERROR)
+        fut = asyncio.get_running_loop().create_future()
+        fut.set_result(error)
+        return None, fut
 
     async def submit(self, request: Any) -> "asyncio.Future":
         """Enqueue one request, awaiting space (stdin-JSONL backpressure).
@@ -221,10 +197,13 @@ class Service:
 
     async def _dispatch_loop(self) -> None:
         assert self._queue is not None
+        loop = asyncio.get_running_loop()
         while True:
             normalized, fut = await self._queue.get()
             try:
-                response = await self._execute(normalized)
+                response, hit = await loop.run_in_executor(
+                    self._serial, _respond, normalized, self.store, self._run
+                )
             except asyncio.CancelledError:
                 if not fut.done():
                     fut.set_result(
@@ -236,59 +215,41 @@ class Service:
                 self._queue.task_done()
                 raise
             except Exception as err:  # pragma: no cover - defensive
-                response = error_response(
+                response, hit = error_response(
                     "internal", f"{type(err).__name__}: {err}",
                     request_id=normalized["id"], kind=normalized["kind"],
-                )
+                ), False
+            if hit:
+                self.metrics.bump(SERVE_CACHE_HIT)
             if not fut.done():
                 fut.set_result(response)
             if not response.get("ok"):
                 self.metrics.bump(SERVE_ERROR)
             self._queue.task_done()
 
-    async def _run_task(self, fn: Callable[[Any], Any], task: Any) -> Any:
-        """``fn(task)`` on the warm pool, falling back to the thread
-        worker when the pool cannot run it (broken pool, unpicklable
-        payload)."""
-        loop = asyncio.get_running_loop()
-        if self.executor is not None:
-            try:
-                return await loop.run_in_executor(self.executor, fn, task)
-            except (BrokenProcessPool, PicklingError, OSError):
-                pass
-        return await loop.run_in_executor(self._serial, fn, task)
-
-    async def _execute(self, normalized: Dict[str, Any]) -> Dict[str, Any]:
+    def _submit(self, fn: Callable[[Any], Any], task: Any) -> Future:
         try:
-            key = None
-            if self.store is not None and request_is_cacheable(normalized):
-                key = request_cache_key(self.store, normalized)
-                hit, value = self.store.get(key)
-                if hit and isinstance(value, dict):
-                    self.metrics.bump(SERVE_CACHE_HIT)
-                    return ok_response(normalized, value)
-            root = self.store.root if self.store is not None else None
-            shards = shard_request(normalized, cache_root=root)
-            if normalized["kind"] == "check":
-                parts = await self._run_task(execute_check_shards, shards)
-            else:
-                parts = await asyncio.gather(
-                    *(self._run_task(execute_shard, shard) for shard in shards)
-                )
-            result = merge_shards(normalized, list(parts))
-            if key is not None:
-                self.store.put(key, result)
-            return ok_response(normalized, result)
-        except ApiError as err:
-            return error_response(
-                err.code, err.message,
-                request_id=normalized["id"], kind=normalized["kind"],
-            )
-        except Exception as err:
-            return error_response(
-                "internal", f"{type(err).__name__}: {err}",
-                request_id=normalized["id"], kind=normalized["kind"],
-            )
+            return self.executor.submit(fn, task)
+        except _POOL_FAILURES as err:
+            failed: Future = Future()
+            failed.set_exception(err)
+            return failed
+
+    def _run(self, fn: Callable[[Any], Any], tasks: List[Any]) -> List[Any]:
+        """The service's ``run`` for :func:`repro.api.core._respond`,
+        called on a dispatcher thread: every task goes to the warm pool
+        at once, and a task the pool cannot run (no pool, broken pool,
+        unpicklable payload) runs inline in this thread."""
+        if self.executor is None:
+            return [fn(task) for task in tasks]
+        futures = [self._submit(fn, task) for task in tasks]
+        results = []
+        for future, task in zip(futures, tasks):
+            try:
+                results.append(future.result())
+            except _POOL_FAILURES:
+                results.append(fn(task))
+        return results
 
 
 # -- stdin-JSONL transport -----------------------------------------------------
@@ -424,83 +385,6 @@ async def run_http(service: Service, host: str, port: int):
         await _handle_http(service, reader, writer)
 
     return await asyncio.start_server(handler, host, port)
-
-
-# -- load generator ------------------------------------------------------------
-
-@dataclass
-class LoadReport:
-    """What one load-generator run observed (request order preserved)."""
-
-    responses: List[Dict[str, Any]] = field(default_factory=list)
-    latencies_s: List[float] = field(default_factory=list)
-    wall_s: float = 0.0
-    workers: int = 1
-
-    @property
-    def requests_per_s(self) -> float:
-        return len(self.responses) / self.wall_s if self.wall_s > 0 else float("inf")
-
-    def percentile(self, fraction: float) -> float:
-        """Latency at *fraction* (0..1) of the sorted distribution."""
-        if not self.latencies_s:
-            return 0.0
-        ordered = sorted(self.latencies_s)
-        index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-        return ordered[index]
-
-
-async def _generate_load(
-    requests: List[Any],
-    jobs: Optional[int],
-    cache: CacheSpec,
-    queue_limit: Optional[int],
-) -> LoadReport:
-    import time
-
-    service = Service(
-        jobs=jobs,
-        cache=cache,
-        queue_limit=queue_limit or max(DEFAULT_QUEUE_LIMIT, len(requests)),
-    )
-    await service.start()
-    report = LoadReport(
-        responses=[{} for _ in requests],
-        latencies_s=[0.0 for _ in requests],
-        workers=service.workers,
-    )
-
-    async def one(index: int, request: Any) -> None:
-        t0 = time.perf_counter()
-        fut = await service.submit(request)
-        response = await fut
-        report.latencies_s[index] = time.perf_counter() - t0
-        report.responses[index] = response
-
-    t0 = time.perf_counter()
-    await asyncio.gather(*(one(i, r) for i, r in enumerate(requests)))
-    report.wall_s = time.perf_counter() - t0
-    await service.aclose()
-    return report
-
-
-def generate_load(
-    requests: List[Any],
-    jobs: Optional[int] = None,
-    cache: CacheSpec = None,
-    queue_limit: Optional[int] = None,
-) -> LoadReport:
-    """Fire *requests* (dicts or JSONL strings) at a fresh in-process
-    service, all submitted at once, and record per-request latency
-    (submission to response, queueing included) and total wall time.
-
-    ``tests/serve/test_serve.py`` runs this twice against the same cache
-    directory — cold then warm — to hold the O(1) cache-hit path to
-    10x; responses come back in request order so the two runs (and direct
-    :func:`repro.api.handle_request` calls) can be compared
-    byte-for-byte.
-    """
-    return asyncio.run(_generate_load(requests, jobs, cache, queue_limit))
 
 
 # -- CLI entry -----------------------------------------------------------------

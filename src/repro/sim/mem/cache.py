@@ -68,12 +68,6 @@ class L1Cache:
                 index for index, s in enumerate(self._sets) if s
             }
 
-    def line_addr(self, addr: int) -> int:
-        return addr // self.line_bytes
-
-    def _set_of(self, line: int) -> Dict[int, CacheLine]:
-        return self._sets[line % self.sets]
-
     def lookup(self, addr: int, now: float = 0.0) -> LineState:
         line = addr // self.line_bytes
         entry = self._sets[line % self.sets].get(line)

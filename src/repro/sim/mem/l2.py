@@ -156,9 +156,3 @@ class L2System:
 
     def bank_for(self, line: int) -> L2Bank:
         return self.banks[self.home_node(line)]
-
-    def total_accesses(self) -> int:
-        return sum(b.accesses for b in self.banks.values())
-
-    def total_dram(self) -> int:
-        return sum(b.dram_accesses for b in self.banks.values())

@@ -142,10 +142,6 @@ class Solver:
         return self._nvars
 
     @property
-    def num_vars(self) -> int:
-        return self._nvars
-
-    @property
     def num_clauses(self) -> int:
         """Problem clauses added so far (learnt clauses excluded)."""
         return len(self._clauses)
@@ -185,10 +181,6 @@ class Solver:
             raise ValueError(f"unknown clause group {group}")
         self._groups[group] = False
         self.add_clause([-group])
-
-    def group_active(self, group: int) -> bool:
-        """Whether *group* is still active (never retracted)."""
-        return self._groups.get(group, False)
 
     # -- clause management ---------------------------------------------------
     def add_clause(self, ext_lits: Iterable[int],

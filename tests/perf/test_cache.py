@@ -6,6 +6,8 @@ import io
 import json
 import os
 import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -91,6 +93,32 @@ class TestRoundTrip:
         assert store.entry_count() == 3
         assert store.clear() == 3
         assert store.entry_count() == 0
+
+
+class TestSharedStore:
+    def test_counts_survive_concurrent_threads(self, store):
+        """The service's dispatcher threads share one store: no hit, miss
+        or store increment is lost to a thread switch."""
+        present, absent = store.key("unit", {"a": 1}), store.key("unit", {"a": 2})
+        store.put(present, [1])
+        threads, rounds = 8, 100
+
+        def traffic():
+            for _ in range(rounds):
+                store.get(present)
+                store.get(absent)
+                store.put(present, [1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                for future in [pool.submit(traffic) for _ in range(threads)]:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert store.hits == store.misses == threads * rounds
+        assert store.stores == threads * rounds + 1
 
 
 class TestKeyInvalidation:

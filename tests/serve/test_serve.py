@@ -15,12 +15,15 @@ import json
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.api import encode, handle_request
 from repro.perf.cache import ResultCache
-from repro.serve import DEFAULT_QUEUE_LIMIT, Service, generate_load, run_http, run_jsonl
+from repro.serve import DEFAULT_QUEUE_LIMIT, Service, run_http, run_jsonl
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -36,17 +39,26 @@ def golden_responses():
         return [line for line in handle.read().splitlines() if line.strip()]
 
 
-def drive_jsonl(lines, **service_kwargs):
-    """Run the stdin-JSONL transport in-process; returns response lines."""
+def serve_jsonl(lines, executor=None, **service_kwargs):
+    """Run the stdin-JSONL transport in-process on a fresh service;
+    returns the response lines and the service.  *executor*, if given,
+    stands in for the service's warm pool."""
     out = []
+    service = Service(**service_kwargs)
+    if executor is not None:
+        service.executor = executor
 
     async def main():
-        service = Service(**service_kwargs)
         await run_jsonl(service, lines, out.append)
         await service.aclose()
 
     asyncio.run(main())
-    return [line.rstrip("\n") for line in out]
+    return [line.rstrip("\n") for line in out], service
+
+
+def drive_jsonl(lines, **service_kwargs):
+    """Run the stdin-JSONL transport in-process; returns response lines."""
+    return serve_jsonl(lines, **service_kwargs)[0]
 
 
 class TestGolden:
@@ -299,7 +311,7 @@ class TestHttpTransport:
         assert response["error"]["code"] == "busy"
 
 
-#: Litmus checks in the load generator's mixed batch: a spread of
+#: Litmus checks in the cold/warm mixed batch: a spread of
 #: verdicts and execution counts from the library.
 LOAD_CHECKS = (
     "mp_paired", "mp_data", "sb_data", "sb_paired", "lb_non_ordering",
@@ -334,17 +346,53 @@ class TestLoadGenerator:
             }
             for name in ("SC", "SEQ")
         ]
-        cold = generate_load(list(requests), jobs=1, cache=str(tmp_path))
-        warm = generate_load(list(requests), jobs=1, cache=str(tmp_path))
+        lines = [encode(request) for request in requests]
+
+        def timed():
+            t0 = time.perf_counter()
+            out = drive_jsonl(lines, jobs=1, cache=str(tmp_path))
+            return out, time.perf_counter() - t0
+
+        cold, cold_s = timed()
+        warm, warm_s = timed()
         direct = [encode(handle_request(dict(r))) for r in requests]
-        assert [encode(r) for r in cold.responses] == direct
-        assert [encode(r) for r in warm.responses] == direct
-        assert all(r["ok"] for r in cold.responses)
-        assert len(cold.latencies_s) == len(requests)
-        assert cold.wall_s >= WARM_SPEEDUP * warm.wall_s, (
-            cold.wall_s, warm.wall_s,
+        assert cold == direct
+        assert warm == direct
+        assert all(json.loads(line)["ok"] for line in cold)
+        assert cold_s >= WARM_SPEEDUP * warm_s, (cold_s, warm_s)
+
+
+class _BrokenPool:
+    """Stands in for a warm pool whose workers died: every task it is
+    given fails with ``BrokenProcessPool``."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def submit(self, fn, *args, **kwargs):
+        self.tasks.append(fn.__name__)
+        future = Future()
+        future.set_exception(BrokenProcessPool("a worker died"))
+        return future
+
+
+class TestExecutor:
+    def test_broken_pool_tasks_rerun_inline(self):
+        pool = _BrokenPool()
+        served, _ = serve_jsonl(golden_requests(), executor=pool, jobs=1, cache=False)
+        assert served == [encode(handle_request(r)) for r in golden_requests()]
+        # The check requests and the batch reached the pool first.
+        assert "execute_check_shards" in pool.tasks
+        assert "execute_shard" in pool.tasks
+
+    def test_repeated_request_counts_one_cache_hit(self, tmp_path):
+        request = golden_requests()[0]
+        served, service = serve_jsonl(
+            [request, request], jobs=1, cache=str(tmp_path)
         )
-        assert warm.percentile(0.5) <= warm.percentile(0.99)
+        assert served == [golden_responses()[0]] * 2
+        assert service.metrics.get("serve_cache_hit") == 1.0
+        assert service.metrics.get("serve_request") == 2.0
 
 
 class TestSubprocess:

@@ -7,16 +7,14 @@ plumbing — routing, fallback, and how the resolved engine is reported.
 """
 
 import os
-import shutil
 
 import pytest
 
-from repro.api import check_program
+from repro.api import check_program, execute_shard
 from repro.core.model import _prepare, check
 from repro.litmus.corpus import CORPUS_DIR
 from repro.litmus.library import get, scaled_chain
 from repro.obs.metrics import RUNTIME
-from repro.perf.audit import audit_corpus
 
 MP = get("mp_paired").program
 
@@ -97,30 +95,38 @@ class TestRuntimeMetric:
         assert RUNTIME.get("check_engine_resolved:sat") == 1.0
 
 
-class TestAuditIntegration:
-    def test_audit_records_engine_per_model(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        for name in ("mp_paired.litmus", "ref_counter.litmus"):
-            shutil.copy(os.path.join(CORPUS_DIR, name), corpus / name)
-        results = audit_corpus(str(corpus), jobs=1, engine="sat")
-        assert len(results) == 2
-        by_name = {os.path.basename(r.path): r for r in results}
-        assert all(r.ok for r in results)
-        mp = by_name["mp_paired.litmus"]
-        assert mp.engines and set(mp.engines.values()) == {"sat"}
-        # The fallback is visible in the audit report, per model.
-        ref = by_name["ref_counter.litmus"]
-        assert ref.engines["drfrlx"] == "enum"
+def _audit(names, engine):
+    """The ``audit_file`` shard payloads of corpus files *names*."""
+    return [
+        execute_shard({
+            "shard": "audit_file",
+            "path": os.path.join(CORPUS_DIR, name),
+            "options": {"dedup": True, "engine": engine},
+            "cache_root": None,
+        })
+        for name in names
+    ]
 
-    def test_audit_verdicts_engine_invariant(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        for name in ("mp_paired.litmus", "mp_unpaired.litmus"):
-            shutil.copy(os.path.join(CORPUS_DIR, name), corpus / name)
-        enum_res = audit_corpus(str(corpus), jobs=1, engine="enum")
-        sat_res = audit_corpus(str(corpus), jobs=1, engine="sat")
-        assert [r.verdicts for r in enum_res] == [r.verdicts for r in sat_res]
+
+class TestAuditIntegration:
+    def test_audit_records_engine_per_model(self):
+        mp, ref = _audit(("mp_paired.litmus", "ref_counter.litmus"), "sat")
+        assert mp["ok"] and ref["ok"]
+        assert {v["engine"] for v in mp["verdicts"].values()} == {"sat"}
+        # The fallback is visible in the audit report, per model.
+        assert ref["verdicts"]["drfrlx"]["engine"] == "enum"
+
+    def test_audit_verdicts_engine_invariant(self):
+        names = ("mp_paired.litmus", "mp_unpaired.litmus")
+
+        def verdicts(engine):
+            return [
+                {model: (v["expected"], v["actual"], v["race_kinds"])
+                 for model, v in part["verdicts"].items()}
+                for part in _audit(names, engine)
+            ]
+
+        assert verdicts("enum") == verdicts("sat")
 
 
 class TestApiIntegration:
