@@ -252,11 +252,6 @@ class Execution:
     def rmw(self) -> DenseRelation:
         return self._relation_from_eid_pairs(self._rmw_pairs)
 
-    @cached_property
-    def com(self) -> DenseRelation:
-        """Communication relation ``rf | co | fr``."""
-        return self.rf | self.co | self.fr
-
     # -- dependency relations ---------------------------------------------------
     def _dep_relation(self, name: str) -> DenseRelation:
         by_eid = self.by_eid
@@ -299,26 +294,6 @@ class Execution:
             if a in by_eid and b in by_eid
         }
         return frozenset(e for e in self.reads if e.eid in sources)
-
-    # -- conflict order (paper Section 3.3.3) -------------------------------------
-    @cached_property
-    def conflict(self) -> DenseRelation:
-        """Symmetric conflict relation over program events."""
-        evs = self.program_events
-        pairs = []
-        for a in evs:
-            for b in evs:
-                if a is not b and a.conflicts_with(b):
-                    pairs.append((a, b))
-        return self.relation(pairs)
-
-    @cached_property
-    def conflict_order(self) -> DenseRelation:
-        """Paper's ``co`` arrow: X conflicts with Y and X precedes Y in T.
-
-        (Distinct from the Herd-style write-only coherence order above.)
-        """
-        return self.conflict.filter(self.t_before)
 
     # -- result & identity ---------------------------------------------------------
     def result(self) -> Dict[str, int]:

@@ -161,10 +161,6 @@ def ensure_executor(jobs: Optional[int] = None) -> Optional[ProcessPoolExecutor]
     return _get_executor(workers)
 
 
-def executor_is_warm(workers: int) -> bool:
-    return _executor is not None and _executor_workers == workers
-
-
 def warm_worker_count() -> int:
     """The shared executor's worker count (0 when no pool is up)."""
     return _executor_workers if _executor is not None else 0

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import asyncio
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pickle import PicklingError
 from typing import Any, AsyncIterator, Callable, Dict, Iterable, List, Optional, Union
@@ -54,7 +55,7 @@ from repro.obs.metrics import (
     MetricSet,
 )
 from repro.perf.cache import CacheSpec, resolve_cache
-from repro.perf.pool import ensure_executor, warm_worker_count
+from repro.perf.pool import ensure_executor, shutdown_executor, warm_worker_count
 
 #: Default bound on the request queue (requests buffered beyond the
 #: ones dispatchers are executing).  Past it, HTTP answers 429 and the
@@ -97,6 +98,7 @@ class Service:
         )
         self._queue: Optional[asyncio.Queue] = None
         self._dispatchers: List[asyncio.Task] = []
+        self._pool_lock = threading.Lock()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -227,27 +229,42 @@ class Service:
                 self.metrics.bump(SERVE_ERROR)
             self._queue.task_done()
 
-    def _submit(self, fn: Callable[[Any], Any], task: Any) -> Future:
+    @staticmethod
+    def _submit(executor, fn: Callable[[Any], Any], task: Any) -> Future:
         try:
-            return self.executor.submit(fn, task)
+            return executor.submit(fn, task)
         except _POOL_FAILURES as err:
             failed: Future = Future()
             failed.set_exception(err)
             return failed
 
+    def _replace_pool(self, broken) -> None:
+        """Swap the broken warm pool for a fresh one of the same size, as
+        :func:`~repro.perf.pool.parallel_map` does.  Several dispatcher
+        threads can see one pool break; only the first replaces it.  An
+        executor that is not a process pool is left in place."""
+        with self._pool_lock:
+            if self.executor is broken and isinstance(broken, ProcessPoolExecutor):
+                shutdown_executor()
+                self.executor = ensure_executor(self.workers)
+
     def _run(self, fn: Callable[[Any], Any], tasks: List[Any]) -> List[Any]:
         """The service's ``run`` for :func:`repro.api.core._respond`,
         called on a dispatcher thread: every task goes to the warm pool
         at once, and a task the pool cannot run (no pool, broken pool,
-        unpicklable payload) runs inline in this thread."""
-        if self.executor is None:
+        unpicklable payload) runs inline in this thread.  A broken pool
+        is replaced, so later requests run on a fresh one."""
+        executor = self.executor
+        if executor is None:
             return [fn(task) for task in tasks]
-        futures = [self._submit(fn, task) for task in tasks]
+        futures = [self._submit(executor, fn, task) for task in tasks]
         results = []
         for future, task in zip(futures, tasks):
             try:
                 results.append(future.result())
-            except _POOL_FAILURES:
+            except _POOL_FAILURES as err:
+                if isinstance(err, BrokenProcessPool):
+                    self._replace_pool(executor)
                 results.append(fn(task))
         return results
 

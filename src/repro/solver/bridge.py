@@ -33,6 +33,13 @@ verdicts and printed witnesses are identical.  ``expand_registers=True``
 re-expands every final-register variant of each class into its own
 execution — the mode the differential tests use to compare canonical
 execution sets against the enumerator one-to-one.
+
+The loop lives in one place, :meth:`SharedCore.ensure`.  An untraced
+check is served by the core memoized for its label-erased structure; a
+traced check, and a program whose labels collide in that core, get a
+fresh, unmemoized core over the labeled program, whose loop emits the
+tracer's ``sat:<name>`` scope and its ``order_cycle``/``execution``
+events.
 """
 
 from __future__ import annotations
@@ -67,16 +74,16 @@ class SolverStats:
     """Work accounting for one solver-backed enumeration.
 
     The integer counters are deterministic per (program structure, class
-    cap) — the CDCL search is deterministic and, on the shared-core
-    path, they are per-class snapshots equal to what a fresh one-shot
-    solve of the same cap reports — so they are safe to expose in
-    reproducible payloads (``audit --json``, v1 check responses) via
+    cap) — the CDCL search is deterministic and a core serves per-class
+    snapshots of them, equal to what a fresh core capped at the same
+    class count reports — so they are safe to expose in reproducible
+    payloads (``audit --json``, v1 check responses) via
     :meth:`counters`.  The wall times depend on machine load and stay
     out of those payloads.  The ``shared`` flag is deterministic too,
-    and payloads carry it beside the counters: it is False only when
-    the caller passed ``shared=False``, a tracer was enabled, or the
+    and payloads carry it beside the counters: it is False only when a
+    fresh core served the check — a tracer was enabled, or the
     program's labels collide in the label-erased core (a property of
-    the program), never because of which request warmed the core.
+    the program) — never because of which request warmed the core.
     """
 
     decisions: int = 0
@@ -86,13 +93,13 @@ class SolverStats:
     learned: int = 0
     #: Execution classes enumerated (== ``executions_explored`` pre-expand).
     classes: int = 0
-    #: Wall seconds spent building the CNF (grounding + clauses).  On the
-    #: shared-core path this is the core's one-time encode, reported
-    #: identically by every check it serves.
+    #: Wall seconds spent building the CNF (grounding + clauses): the
+    #: serving core's one-time encode, reported identically by every
+    #: check it serves.
     encode_s: float = 0.0
     #: Wall seconds spent inside ``solve()`` calls.
     solve_s: float = 0.0
-    #: True when served from a shared (label-erased, name-free) core.
+    #: True when served from a memoized (label-erased, name-free) core.
     shared: bool = False
 
     def counters(self) -> Dict[str, int]:
@@ -400,63 +407,6 @@ def _decode(
     )
 
 
-def _enumerate_sat(
-    program: Program,
-    max_executions: Optional[int],
-    expand_registers: bool,
-    max_traces: int,
-    tracer: Tracer,
-) -> SCEnumeration:
-    enc = Encoding(program, max_traces)
-    solver = enc.solver
-    stats = EnumStats(engine="sat")
-    trace_on = tracer.enabled
-    scope = tracer.scope(f"sat:{program.name}", cycle=0.0, component="solver")
-    executions: List[Execution] = []
-    label_of = {inst.gid: inst.label for inst in enc.insts}
-    events: Dict[Tuple, Event] = {}
-    classes = 0
-    solve_s = 0.0
-    cap = max_executions if max_executions is not None else DEFAULT_MAX_CLASSES
-    while classes < cap:
-        t0 = time.perf_counter()
-        sat = solver.solve()
-        solve_s += time.perf_counter() - t0
-        if not sat:
-            break
-        shapes = _selected_shapes(enc)
-        edges, rf_source = _model_edges(enc, shapes)
-        cycle = _find_cycle(edges)
-        if cycle is not None:
-            # Lazy transitivity: reject this order assignment and retry.
-            solver.add_clause(_cycle_clause(enc, *cycle))
-            if trace_on:
-                tracer.emit(stats.steps, "solver", "order_cycle",
-                            length=len(cycle[0]))
-            continue
-        classes += 1
-        decoded = _decode(enc, shapes, edges, rf_source)
-        executions += decoded.executions(
-            decoded.events(label_of, events), expand_registers
-        )
-        if trace_on:
-            tracer.emit(stats.steps, "solver", "execution", distinct=classes)
-        solver.add_clause(_blocking_clause(enc, shapes, edges, rf_source))
-    stats.steps = solver.stats.propagations
-    stats.completed_paths = classes
-    scope.close(solver.stats.conflicts)
-    return SCEnumeration(
-        program=program,
-        executions=tuple(executions),
-        truncated_paths=enc.truncated,
-        interleavings=classes,
-        stats=stats,
-        solver_stats=SolverStats.from_sat(
-            solver.stats, classes, enc.encode_s, solve_s, shared=False,
-        ),
-    )
-
-
 def _register_products(shapes) -> List[List[Dict[str, int]]]:
     """Every combination of the per-thread final-register variants, the
     representative (first variant everywhere) first."""
@@ -478,8 +428,8 @@ def _register_products(shapes) -> List[List[Dict[str, int]]]:
 class _LabelCollision(Exception):
     """One erased shape groups traces that disagree on an atomic label
     under the requested model, so the shared core cannot relabel its
-    decoded executions soundly; the caller falls back to a one-shot
-    encoding of the labeled program (identical results, no sharing)."""
+    decoded executions soundly; the caller falls back to a fresh core
+    over the labeled program (identical results, no sharing)."""
 
 
 class _ClassRecord:
@@ -487,9 +437,9 @@ class _ClassRecord:
 
     ``stats``/``solve_s`` snapshot the solver counters and cumulative
     solve time right after this class's blocking clause was added —
-    exactly the state a fresh one-shot enumeration capped at this class
-    count exits with, which is what makes served counters byte-identical
-    to the one-shot path at every cap.
+    exactly the state a fresh core capped at this class count stops in,
+    which is what makes served counters independent of how far earlier
+    requests drove the core.
     """
 
     __slots__ = ("decoded", "stats", "solve_s")
@@ -543,24 +493,26 @@ class SharedCore:
     as the enumerator's do, and the per-event memos of
     :func:`repro.core.races.race_signature` and :class:`Event` hit.
 
-    Everything served is byte-identical to a one-shot encoding of the
-    labeled program: no label collision (checked per serve) means the
-    labeled trace partition equals the erased one, so the CNF, the
-    deterministic solver run, the class order and the per-class counter
-    snapshots all coincide; :meth:`ensure` resumes the loop exactly
-    where a capped one-shot run stopped.
+    Everything served is byte-identical to what a fresh core over the
+    labeled program serves: no label collision (checked per serve)
+    means the labeled trace partition equals the erased one, so the
+    CNF, the deterministic solver run, the class order and the per-class
+    counter snapshots all coincide; :meth:`ensure` resumes the loop
+    exactly where a capped run stopped.  Such a fresh, unmemoized core
+    is what a traced check and a label collision get; ``shared`` is
+    True only for the memo's cores.
 
     Once exhausted the encoding and solver are dropped (``enc = None``)
     — the records alone serve any cap.  The event table grows with the
     records and dies with the core.
     """
 
-    def __init__(self, erased: Program, max_traces: int = MAX_TRACES_PER_THREAD):
-        self.enc: Optional[Encoding] = Encoding(erased, max_traces)
+    def __init__(self, program: Program, max_traces: int = MAX_TRACES_PER_THREAD):
+        self.enc: Optional[Encoding] = Encoding(program, max_traces)
         self.encode_s = self.enc.encode_s
         self.truncated = self.enc.truncated
         #: Counters right after encoding (root units already propagate
-        #: during ``add_clause``) — what a cap-0 one-shot run reports.
+        #: during ``add_clause``) — what a cap-0 serve reports.
         self.initial_stats = replace(self.enc.solver.stats)
         self.records: List[_ClassRecord] = []
         self.exhausted = False
@@ -569,14 +521,19 @@ class SharedCore:
         self._solve_s = 0.0
         #: (eid, gid, label) -> the one Event served for it
         self._events: Dict[Tuple, Event] = {}
+        #: Set by the core memo; a fresh core serves unshared.
+        self.shared = False
 
-    def ensure(self, cap: int) -> None:
-        """Enumerate classes until *cap* are recorded or UNSAT."""
+    def ensure(self, cap: int, tracer: Tracer = NULL_TRACER) -> None:
+        """Enumerate classes until *cap* are recorded or UNSAT, emitting
+        an ``order_cycle`` event per rejected cyclic model and an
+        ``execution`` event per class into *tracer*."""
         if self.exhausted:
             return
         enc = self.enc
         assert enc is not None
         solver = enc.solver
+        trace_on = tracer.enabled
         while len(self.records) < cap:
             t0 = time.perf_counter()
             sat = solver.solve()
@@ -591,13 +548,20 @@ class SharedCore:
             edges, rf_source = _model_edges(enc, shapes)
             cycle = _find_cycle(edges)
             if cycle is not None:
+                # Lazy transitivity: reject this order assignment and retry.
                 solver.add_clause(_cycle_clause(enc, *cycle))
+                if trace_on:
+                    tracer.emit(0, "solver", "order_cycle",
+                                length=len(cycle[0]))
                 continue
             decoded = _decode(enc, shapes, edges, rf_source)
             solver.add_clause(_blocking_clause(enc, shapes, edges, rf_source))
             self.records.append(_ClassRecord(
                 decoded, replace(solver.stats), self._solve_s,
             ))
+            if trace_on:
+                tracer.emit(0, "solver", "execution",
+                            distinct=len(self.records))
 
     def _labels(
         self, kinds: Tuple[AtomicKind, ...], records: List[_ClassRecord],
@@ -631,14 +595,19 @@ class SharedCore:
         program: Program,
         max_executions: Optional[int],
         expand_registers: bool,
+        tracer: Tracer = NULL_TRACER,
     ) -> SCEnumeration:
         """The enumeration of *program* (any labeling and name of this
-        core's erased structure), byte-identical to a one-shot sat run."""
+        core's structure), byte-identical to a fresh core's.  *tracer*
+        records the loop this call runs in a ``sat:<name>`` scope that
+        closes at the served conflict count."""
         cap = (
             max_executions if max_executions is not None
             else DEFAULT_MAX_CLASSES
         )
-        self.ensure(cap)
+        scope = tracer.scope(f"sat:{program.name}", cycle=0.0,
+                             component="solver")
+        self.ensure(cap, tracer)
         n = min(cap, len(self.records))
         served = self.records[:n]
         label_of = self._labels(label_kinds(program), served)
@@ -649,7 +618,7 @@ class SharedCore:
             executions += decoded.executions(
                 decoded.events(label_of, table), expand_registers
             )
-        # The counters a fresh one-shot run capped at `cap` would report:
+        # The counters a fresh core capped at `cap` would report:
         # the snapshot after the cap-th blocking clause when the cap cut
         # enumeration short, the post-UNSAT totals otherwise.
         if cap <= len(self.records):
@@ -659,6 +628,7 @@ class SharedCore:
             assert self.exhausted and self.final_stats is not None
             snap = self.final_stats
             solve_s = self.final_solve_s
+        scope.close(snap.conflicts)
         stats = EnumStats(engine="sat")
         stats.steps = snap.propagations
         stats.completed_paths = n
@@ -669,7 +639,7 @@ class SharedCore:
             interleavings=n,
             stats=stats,
             solver_stats=SolverStats.from_sat(
-                snap, n, self.encode_s, solve_s, shared=True,
+                snap, n, self.encode_s, solve_s, shared=self.shared,
             ),
         )
 
@@ -724,6 +694,7 @@ def _core_for(erased: Program, max_traces: int) -> SharedCore:
         _memo_put(key, SolverCapacityError(*exc.args))
         raise
     RUNTIME.bump(CORE_BUILT)
+    core.shared = True
     _memo_put(key, core)
     return core
 
@@ -735,7 +706,6 @@ def sat_enumeration(
     cache=None,
     expand_registers: bool = False,
     max_traces: int = MAX_TRACES_PER_THREAD,
-    shared: bool = True,
 ) -> SCEnumeration:
     """Enumerate *program*'s execution classes with the SAT engine.
 
@@ -747,26 +717,20 @@ def sat_enumeration(
     and ignored: neither enumerations nor cores are cached on disk (only
     results are; see :mod:`repro.perf.cache`).
 
-    ``shared=True`` (the default) serves from the :class:`SharedCore`
-    memo, keyed on the label-erased, name-free structure, so every
-    labeling and name of one structure encodes and solves once; pass
-    ``shared=False`` to force a fresh one-shot encoding (what the
-    benchmarks and identity tests compare against).  A tracer disables sharing — its per-solve events
-    should describe this run, not whichever request warmed the core.
+    The check is served from the :class:`SharedCore` memo, keyed on the
+    label-erased, name-free structure, so every labeling and name of one
+    structure encodes and solves once.  A traced check gets a fresh core
+    over *program* instead — its events should describe this run, not
+    whichever request warmed the memo's core — and so does a program
+    whose labels collide in the erased core.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
-    if tracer.enabled:
-        shared = False
-
-    result: Optional[SCEnumeration] = None
-    if shared:
+    if not tracer.enabled:
         core = _core_for(erase_labels(program), max_traces)
         try:
-            result = core.serve(program, max_executions, expand_registers)
+            return core.serve(program, max_executions, expand_registers)
         except _LabelCollision:
-            pass  # sound fallback: one-shot labeled encoding
-    if result is None:
-        result = _enumerate_sat(
-            program, max_executions, expand_registers, max_traces, tracer
-        )
-    return result
+            pass  # sound fallback: a fresh core over the labeled program
+    return SharedCore(program, max_traces).serve(
+        program, max_executions, expand_registers, tracer,
+    )

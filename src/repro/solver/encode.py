@@ -222,7 +222,8 @@ class Shape:
     #: different instructions emit identical events on different
     #: branches).  The shared program core maps these through a model's
     #: label vector to re-label decoded events — and falls back to a
-    #: one-shot encoding when the vectors disagree on a label.
+    #: fresh core over the labeled program when the vectors disagree on
+    #: a label.
     src_variants: List[Tuple[int, ...]] = field(default_factory=list)
 
 
@@ -717,9 +718,3 @@ def _neg_lit(lit):
     if lit is VACUOUS:
         return VACUOUS
     return -lit
-
-
-def encode_program(program: Program,
-                   max_traces: int = MAX_TRACES_PER_THREAD) -> Encoding:
-    """Ground *program* and build its CNF; see the module docstring."""
-    return Encoding(program, max_traces)

@@ -14,21 +14,10 @@ The solver implements the classic conflict-driven clause-learning loop:
   max-heap), with phase saving for the branch polarity;
 - **Luby restarts** — the search restarts on a Luby-sequence conflict
   schedule, keeping learnt clauses;
-- **incremental ``solve(assumptions=...)``** — assumptions are placed
-  as pseudo-decisions below the search, so repeated queries (the
-  AllSAT loop in :mod:`repro.solver.bridge`, allowed/forbidden/race
-  probes in tests) reuse the learnt-clause database; a failed call
-  reports the subset of assumptions responsible via :meth:`core`;
-- **clause groups** — :meth:`Solver.new_group` allocates an activation
-  literal, ``add_clause(..., group=g)`` guards a clause with it, and
-  :meth:`retract_group` permanently deactivates the whole group.  Every
-  learnt clause that transitively depends on a group clause contains the
-  group's negated activation literal (resolution can never drop it), so
-  retraction silently satisfies exactly the lemmas the group implied
-  while every core-derived lemma — learnt from unguarded clauses only —
-  survives.  This is what lets a long-lived solver instance (the shared
-  program core in :mod:`repro.solver.bridge`) carry query-local
-  constraints without ever being rebuilt.
+- **incremental solving** — clauses may be added between
+  :meth:`Solver.solve` calls, and learnt clauses, activities and saved
+  phases carry over, so the AllSAT loop in :mod:`repro.solver.bridge`
+  re-solves warm after each blocking clause.
 
 Literals use the DIMACS convention externally: variables are positive
 integers handed out by :meth:`Solver.new_var`, a negative integer is the
@@ -124,8 +113,6 @@ class Solver:
         self._max_learnts = 0.0
         self._ok = True
         self._model: List[int] = []
-        self._conflict_core: Tuple[int, ...] = ()
-        self._groups: Dict[int, bool] = {}  # activation var -> active?
 
     # -- variables -----------------------------------------------------------
     def new_var(self) -> int:
@@ -152,51 +139,14 @@ class Solver:
             raise ValueError(f"unknown variable in literal {ext}")
         return 2 * var + (1 if ext < 0 else 0)
 
-    # -- clause groups -------------------------------------------------------
-    def new_group(self) -> int:
-        """Allocate a clause group and return its handle.
-
-        Clauses added with ``add_clause(..., group=g)`` are guarded by
-        the group's activation literal: they only constrain the search
-        while the group is active (every :meth:`solve` call assumes the
-        activation literal of each active group).  :meth:`retract_group`
-        deactivates a group permanently without touching any clause
-        learnt from the ungrouped (core) clauses.
-        """
-        act = self.new_var()
-        self._groups[act] = True
-        return act
-
-    def retract_group(self, group: int) -> None:
-        """Permanently deactivate *group*.
-
-        Asserts the negated activation literal at level 0: every clause
-        of the group — and every learnt clause that was derived using
-        one, which necessarily carries the negated activation literal —
-        becomes satisfied and drops out of the search.  Lemmas derived
-        from core clauses alone never mention the group and survive
-        untouched (the soundness property the incremental tests pin).
-        """
-        if group not in self._groups:
-            raise ValueError(f"unknown clause group {group}")
-        self._groups[group] = False
-        self.add_clause([-group])
-
     # -- clause management ---------------------------------------------------
-    def add_clause(self, ext_lits: Iterable[int],
-                   group: Optional[int] = None) -> bool:
+    def add_clause(self, ext_lits: Iterable[int]) -> bool:
         """Add a clause (DIMACS literals).  Returns ``False`` when the
         solver becomes unconditionally unsatisfiable.  Must be called at
-        decision level 0 (i.e. outside :meth:`solve`).  ``group`` guards
-        the clause with a clause group's activation literal (see
-        :meth:`new_group`); adding to a retracted group is an error."""
+        decision level 0 (i.e. outside :meth:`solve`)."""
         assert not self._trail_lim, "add_clause only between solve calls"
         if not self._ok:
             return False
-        if group is not None:
-            if not self._groups.get(group, False):
-                raise ValueError(f"clause group {group} is retracted or unknown")
-            ext_lits = [-group, *ext_lits]
         vals = self._vals
         lits: List[int] = []
         seen: Dict[int, int] = {}
@@ -394,27 +344,6 @@ class Solver:
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
         return learnt, level[learnt[1] >> 1]
 
-    def _analyze_final(self, lit: int) -> Tuple[int, ...]:
-        """Assumptions implying *lit* (internal), as internal literals."""
-        if not self._trail_lim:
-            return ()
-        seen = bytearray(self._nvars)
-        seen[lit >> 1] = 1
-        out: List[int] = []
-        for k in range(len(self._trail) - 1, self._trail_lim[0] - 1, -1):
-            var = self._trail[k] >> 1
-            if not seen[var]:
-                continue
-            reason = self._reason[var]
-            if reason is None:
-                out.append(self._trail[k])
-            else:
-                for q in reason.lits[1:]:
-                    if self._level[q >> 1] > 0:
-                        seen[q >> 1] = 1
-            seen[var] = 0
-        return tuple(out)
-
     # -- learnt DB reduction -------------------------------------------------
     def _reduce_db(self) -> None:
         locked = {id(r) for r in self._reason if r is not None}
@@ -429,16 +358,13 @@ class Solver:
         self._learnts = keep
 
     # -- search --------------------------------------------------------------
-    def solve(self, assumptions: Iterable[int] = ()) -> bool:
-        """Solve under *assumptions* (DIMACS literals).
+    def solve(self) -> bool:
+        """Solve the clauses added so far.
 
         ``True``: a model is available via :meth:`value` / :meth:`model`.
-        ``False``: unsatisfiable under the assumptions; :meth:`core`
-        reports the failing subset.  Learnt clauses persist across calls.
-        The activation literal of every active clause group is assumed
-        automatically, before the caller's assumptions.
+        ``False``: unsatisfiable, for good — clauses are only ever added.
+        Learnt clauses persist across calls.
         """
-        self._conflict_core = ()
         self._model = []
         self._cancel_until(0)
         if not self._ok:
@@ -446,8 +372,6 @@ class Solver:
         if self._propagate() is not None:
             self._ok = False
             return False
-        assumps = [2 * (g - 1) for g, active in self._groups.items() if active]
-        assumps += [self._lit(a) for a in assumptions]
         if self._max_learnts <= 0:
             self._max_learnts = max(100.0, 2.0 * len(self._clauses))
         restart = 0
@@ -455,14 +379,14 @@ class Solver:
             self.stats.restarts += restart > 0
             budget = 100 * _luby(restart)
             restart += 1
-            status = self._search(budget, assumps)
+            status = self._search(budget)
             if status is not None:
                 self._cancel_until(0)
                 return status
             self._max_learnts *= 1.05
             self._cancel_until(0)
 
-    def _search(self, budget: int, assumps: List[int]) -> Optional[bool]:
+    def _search(self, budget: int) -> Optional[bool]:
         propagate = self._propagate
         trail = self._trail
         trail_lim = self._trail_lim
@@ -470,7 +394,6 @@ class Solver:
         phase = self._phase
         order = self._order
         stats = self.stats
-        n_assumps = len(assumps)
         conflicts = 0
         while True:
             conflict = propagate()
@@ -498,34 +421,17 @@ class Solver:
                     return None  # restart
                 if len(self._learnts) - len(trail) >= self._max_learnts:
                     self._reduce_db()
-                # Place pending assumptions as pseudo-decisions.
-                lit = None
-                while len(trail_lim) < n_assumps:
-                    p = assumps[len(trail_lim)]
-                    v = vals[p]
-                    if v > 0:
-                        trail_lim.append(len(trail))
-                    elif v < 0:
-                        core = self._analyze_final(p ^ 1)
-                        self._conflict_core = tuple(
-                            sorted(_to_dimacs(l) for l in core + (p,))
-                        )
-                        return False
-                    else:
-                        lit = p
+                # Branch on the most active unassigned variable (stale
+                # heap entries are skipped lazily).
+                while order:
+                    var = heappop(order)[1]
+                    if vals[var << 1] == 0:
                         break
-                if lit is None:
-                    # Branch on the most active unassigned variable
-                    # (stale heap entries are skipped lazily).
-                    while order:
-                        var = heappop(order)[1]
-                        if vals[var << 1] == 0:
-                            break
-                    else:
-                        self._model = vals[0::2]
-                        return True
-                    stats.decisions += 1
-                    lit = 2 * var + (0 if phase[var] else 1)
+                else:
+                    self._model = vals[0::2]
+                    return True
+                stats.decisions += 1
+                lit = 2 * var + (0 if phase[var] else 1)
                 trail_lim.append(len(trail))
                 clause = None
             self._enqueue(lit, clause)
@@ -542,9 +448,3 @@ class Solver:
         if not self._model:
             raise RuntimeError("no model: last solve() was not SAT")
         return tuple(v > 0 for v in self._model)
-
-    def core(self) -> Tuple[int, ...]:
-        """After an unsatisfiable :meth:`solve`: the subset of the
-        assumption literals that already conflicts (an unsat core over
-        the assumptions; empty when the clause set itself is unsat)."""
-        return self._conflict_core

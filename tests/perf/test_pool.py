@@ -7,10 +7,10 @@ import pytest
 from repro.perf import pool
 from repro.perf.pool import (
     JOBS_ENV,
-    executor_is_warm,
     parallel_map,
     resolve_jobs,
     shutdown_executor,
+    warm_worker_count,
 )
 
 
@@ -139,16 +139,16 @@ class TestWarmExecutor:
     def test_dispatch_reuses_warm_executor(self):
         shutdown_executor()
         try:
-            assert not executor_is_warm(2)
+            assert warm_worker_count() == 0
             first = parallel_map(_double, [1, 2, 3, 4], jobs=2, probe=False)
             assert first == [2, 4, 6, 8]
-            assert executor_is_warm(2)
+            assert warm_worker_count() == 2
             second = parallel_map(_double, [5, 6, 7, 8], jobs=2, probe=False)
             assert second == [10, 12, 14, 16]
-            assert executor_is_warm(2)
+            assert warm_worker_count() == 2
         finally:
             shutdown_executor()
-        assert not executor_is_warm(2)
+        assert warm_worker_count() == 0
 
 
 class TestServiceExecutor:

@@ -13,6 +13,7 @@ golden bytes exactly.
 import asyncio
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -23,6 +24,7 @@ import pytest
 
 from repro.api import encode, handle_request
 from repro.perf.cache import ResultCache
+from repro.perf.pool import shutdown_executor
 from repro.serve import DEFAULT_QUEUE_LIMIT, Service, run_http, run_jsonl
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -384,6 +386,43 @@ class TestExecutor:
         # The check requests and the batch reached the pool first.
         assert "execute_check_shards" in pool.tasks
         assert "execute_shard" in pool.tasks
+
+    def test_killed_worker_is_replaced_by_a_fresh_pool(self):
+        """After one worker of the warm pool dies, the service swaps in a
+        new pool: later checks answer ok and run on it."""
+        requests = [
+            json.dumps({"schema_version": 1, "kind": "check", "id": f"k{i}",
+                        "program": {"name": name}})
+            for i, name in enumerate(("mp_paired", "sb_data", "lb_non_ordering"))
+        ]
+        shutdown_executor()
+        service = Service(jobs=2, cache=False)
+        broken = service.executor
+        out = []
+
+        async def main():
+            await run_jsonl(service, requests, out.append)
+            old_pids = set(broken._processes)
+            os.kill(next(iter(old_pids)), signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not broken._broken and time.monotonic() < deadline:
+                await asyncio.sleep(0.05)
+            for _ in range(2):
+                await run_jsonl(service, requests, out.append)
+            await service.aclose()
+            return old_pids
+
+        try:
+            old_pids = asyncio.run(main())
+            fresh = service.executor
+            assert broken._broken
+            assert fresh is not broken and not fresh._broken
+            assert fresh._processes and not set(fresh._processes) & old_pids
+        finally:
+            shutdown_executor()
+        responses = [json.loads(line) for line in out]
+        assert all(r["ok"] for r in responses), responses
+        assert out[:3] == out[3:6] == out[6:]
 
     def test_repeated_request_counts_one_cache_hit(self, tmp_path):
         request = golden_requests()[0]

@@ -1,21 +1,20 @@
-"""Incremental (shared-core) solving must be observationally identical
-to PR 8's one-shot path.
+"""Memoized (shared-core) solving must be observationally identical
+to a fresh, unshared core over the labeled program.
 
-``sat_enumeration(shared=True)`` erases labels, encodes once, keeps the
-CDCL instance warm across blocking iterations and across the three
-models, and decodes each model's labels back onto the shared execution
-classes.  Everything a caller can observe — the execution set (with
-register fan-out), the class count, the truncation flag, and even the
-deterministic solver counters (decisions, conflicts, propagations,
-learned clauses, restarts) — must match a fresh ``shared=False`` run
-exactly, at every execution cap, resumed or cold.  Random programs
-(hypothesis) probe the identity; crafted CNFs pin the clause-group
-machinery the warm instance is built on.  ``TestStructuralSharing``
-holds the core memo to its key: every labeling and name of one
-structure shares one core, and served payloads do not depend on which
-request warmed it.  ``TestSpeedup`` holds the shared core to its
-reason for existing: a 3-model audit at least twice as fast as one-shot
-solving.  It is a timing gate, so it runs only with
+``sat_enumeration`` erases labels, serves from the memo's core for that
+structure — encoded once, its CDCL instance warm across blocking
+iterations and across the three models — and decodes each model's
+labels back onto the shared execution classes.  Everything a caller can
+observe — the execution set (with register fan-out), the class count,
+the truncation flag, and even the deterministic solver counters
+(decisions, conflicts, propagations, learned clauses, restarts) — must
+match ``SharedCore(prepared).serve(...)`` exactly, at every execution
+cap, resumed or cold.  Random programs (hypothesis) probe the identity.
+``TestStructuralSharing`` holds the core memo to its key: every labeling
+and name of one structure shares one core, and served payloads do not
+depend on which request warmed it.  ``TestSpeedup`` holds the memo to
+its reason for existing: a 3-model audit at least twice as fast as
+fresh cores.  It is a timing gate, so it runs only with
 ``REPRO_TIMING_GATES=1`` set (CI's solver-smoke job sets it).
 """
 
@@ -35,22 +34,26 @@ from repro.litmus.library import SCALED_KINDS, get, scaled_chain, scaled_mp
 from repro.litmus.program import structure_key
 from repro.litmus.render import render
 from repro.obs.metrics import RUNTIME
-from repro.obs.tracer import NULL_TRACER
 from repro.solver import SolverCapacityError, sat_enumeration
 from repro.solver import bridge
 from repro.solver.bridge import (
     SharedCore,
     _LabelCollision,
     _core_for,
-    _enumerate_sat,
     clear_core_memo,
 )
 from repro.solver.encode import MAX_TRACES_PER_THREAD, erase_labels
-from repro.solver.sat import Solver
 
 from tests.solver.test_differential import small_programs
 
 MP = get("mp_paired").program
+
+
+def _fresh(prepared, max_executions=None, expand_registers=False):
+    """*prepared*'s enumeration from a fresh, unmemoized core."""
+    return SharedCore(prepared).serve(
+        prepared, max_executions, expand_registers
+    )
 
 
 def _keys(enumeration):
@@ -72,19 +75,16 @@ def _observables(enumeration):
 
 def assert_incremental_identity(program, model, max_executions=None,
                                 expand_registers=True, cold=True):
-    """One-shot and shared-core enumerations of one cell agree; with
-    ``cold=False`` the shared side may reuse a core an earlier model of
+    """Fresh-core and memoized-core enumerations of one cell agree; with
+    ``cold=False`` the memo side may reuse a core an earlier model of
     the same program left in the memo."""
     prepared = _prepare(program, model)
     if cold:
         clear_core_memo()
-    one = sat_enumeration(
-        prepared, max_executions=max_executions,
-        expand_registers=expand_registers, shared=False,
-    )
+    one = _fresh(prepared, max_executions, expand_registers)
     inc = sat_enumeration(
         prepared, max_executions=max_executions,
-        expand_registers=expand_registers, shared=True,
+        expand_registers=expand_registers,
     )
     a, b = _observables(one), _observables(inc)
     assert a["keys"] == b["keys"], f"{program.name}/{model}"
@@ -112,8 +112,8 @@ class TestRandomIdentity:
     @settings(max_examples=20, deadline=None)
     def test_capped_identity(self, program, cap):
         """At every cap — including 0 and caps past the class count —
-        the shared core serves the same prefix, counts and counters the
-        one-shot loop would have produced."""
+        the memo's core serves the same prefix, counts and counters a
+        fresh core would have produced."""
         for model in MODELS:
             try:
                 assert_incremental_identity(program, model,
@@ -129,9 +129,7 @@ class TestRandomIdentity:
             prepared = _prepare(program, model)
             clear_core_memo()
             try:
-                inc = sat_enumeration(
-                    prepared, expand_registers=True, shared=True,
-                )
+                inc = sat_enumeration(prepared, expand_registers=True)
             except SolverCapacityError:
                 continue
             ref = enumerate_sc_executions(prepared)
@@ -146,20 +144,14 @@ class TestWarmResume:
         for model in MODELS:
             prepared = _prepare(program, model)
             clear_core_memo()
-            cold = sat_enumeration(
-                prepared, expand_registers=True, shared=False,
-            )
+            cold = _fresh(prepared, expand_registers=True)
             total = cold.interleavings
             clear_core_memo()
             for cap in (1, max(1, total // 2), total, total + 5):
                 warm = sat_enumeration(
-                    prepared, max_executions=cap,
-                    expand_registers=True, shared=True,
+                    prepared, max_executions=cap, expand_registers=True,
                 )
-                fresh = sat_enumeration(
-                    prepared, max_executions=cap,
-                    expand_registers=True, shared=False,
-                )
+                fresh = _fresh(prepared, cap, expand_registers=True)
                 assert _observables(warm) == _observables(fresh), (
                     f"{model} cap={cap}"
                 )
@@ -170,7 +162,7 @@ class TestWarmResume:
 
         clear_core_memo()
         for model in MODELS:
-            sat_enumeration(_prepare(MP, model), shared=True)
+            sat_enumeration(_prepare(MP, model))
         erased = {structure for structure, _max_traces in _CORE_MEMO}
         assert structure_key(erase_labels(_prepare(MP, "drf0"))) in erased
         # drf0/drf1 share a preparation; drfrlx adds quantum havoc, so at
@@ -215,7 +207,7 @@ def _fresh_copy(execution):
 
 
 def assert_served_executions(program):
-    """Served executions equal a one-shot decode of the labeled program,
+    """Served executions equal a fresh core's decode of the labeled program,
     field by field, for every class and model; one core's events are
     shared across models wherever their labels agree; and shared events
     sign exactly like fresh ones."""
@@ -224,14 +216,10 @@ def assert_served_executions(program):
     for model in MODELS:
         prepared = _prepare(program, model)
         try:
-            served = sat_enumeration(
-                prepared, expand_registers=True, shared=True,
-            )
+            served = sat_enumeration(prepared, expand_registers=True)
         except SolverCapacityError:
             return
-        one = _enumerate_sat(
-            prepared, None, True, MAX_TRACES_PER_THREAD, NULL_TRACER,
-        )
+        one = _fresh(prepared, expand_registers=True)
         assert [_fields(e) for e in served.executions] == \
             [_fields(e) for e in one.executions], f"{program.name}/{model}"
         if served.solver_stats.shared:
@@ -275,7 +263,7 @@ class TestServedExecutions:
         """Within one served enumeration, an event at the same T position
         from the same instance is one object across classes."""
         clear_core_memo()
-        served = sat_enumeration(_prepare(scaled_mp(3), "drf0"), shared=True)
+        served = sat_enumeration(_prepare(scaled_mp(3), "drf0"))
         first = {}
         shared = 0
         for execution in served.executions:
@@ -327,8 +315,8 @@ class TestStructuralSharing:
         for program in _labelings(build):
             for model in MODELS:
                 prepared = _prepare(program, model)
-                served = sat_enumeration(prepared, shared=True)
-                one = sat_enumeration(prepared, shared=False)
+                served = sat_enumeration(prepared)
+                one = _fresh(prepared)
                 assert served.program is prepared
                 assert _observables(served) == _observables(one), (
                     f"{program.name}/{model}"
@@ -367,22 +355,28 @@ class TestStructuralSharing:
 class TestCollisionFallback:
     def test_label_collision_falls_back_to_oneshot(self, monkeypatch):
         """If decoding detects one erased shape covering two distinct
-        label vectors, the shared path must yield to the one-shot
-        encoder rather than serve a wrong label."""
+        label vectors, the memo's core must yield to a fresh core over
+        the labeled program rather than serve a wrong label."""
         calls = {"n": 0}
+        labels = SharedCore._labels
 
-        def raise_collision(self, *args, **kwargs):
-            calls["n"] += 1
-            raise _LabelCollision("forced by test")
+        def collide_in_memo_cores(self, kinds, records):
+            if self.shared:
+                calls["n"] += 1
+                raise _LabelCollision("forced by test")
+            return labels(self, kinds, records)
 
-        monkeypatch.setattr(SharedCore, "serve", raise_collision)
+        monkeypatch.setattr(SharedCore, "_labels", collide_in_memo_cores)
         clear_core_memo()
         prepared = _prepare(MP, "drfrlx")
-        inc = sat_enumeration(prepared, expand_registers=True, shared=True)
-        one = sat_enumeration(prepared, expand_registers=True, shared=False)
-        assert calls["n"] >= 1
+        inc = sat_enumeration(prepared, expand_registers=True)
+        one = _fresh(prepared, expand_registers=True)
+        assert calls["n"] == 1
         assert _observables(inc) == _observables(one)
         assert inc.solver_stats.shared is False  # fell back for real
+        # The fallback core is not memoized: the memo holds the erased one.
+        (memoized,) = bridge._CORE_MEMO.values()
+        assert memoized.shared
 
     def test_erasure_preserves_structure_and_havoc(self):
         """Label erasure must keep everything except labels — notably
@@ -400,79 +394,10 @@ class TestCollisionFallback:
         assert len(set(label_kinds(erased))) == 1  # all DATA
 
 
-class TestClauseGroups:
-    """Crafted-CNF soundness of the machinery the warm core rests on."""
-
-    def test_retracted_group_stops_constraining(self):
-        s = Solver()
-        x = s.new_var()
-        g = s.new_group()
-        s.add_clause([-x], group=g)
-        assert s.solve()
-        assert s.value(x) is False  # group active: ~x forced
-        s.retract_group(g)
-        s.add_clause([x])
-        assert s.solve()  # would be UNSAT had the group survived
-        assert s.value(x) is True
-
-    def test_core_lemmas_survive_group_retraction(self):
-        """Learnt clauses derived from ungrouped (core) clauses alone
-        must keep pruning after a group is retracted; lemmas that used a
-        grouped clause carry the negated activation literal and retire
-        with the group.  Soundness check: retracting the group restores
-        exactly the core problem's models."""
-        s = Solver()
-        a, b, c = (s.new_var() for _ in range(3))
-        # Core: a -> b, b -> c (implication chain).
-        s.add_clause([-a, b])
-        s.add_clause([-b, c])
-        g = s.new_group()
-        s.add_clause([a], group=g)   # group forces the chain to fire
-        s.add_clause([-c], group=g)  # ...and contradicts its conclusion
-        assert not s.solve()         # active group: UNSAT
-        s.retract_group(g)
-        assert s.solve()             # core alone is satisfiable again
-        # The chain still propagates: assuming a forces c.
-        assert s.solve(assumptions=[a])
-        assert s.value(a) and s.value(b) and s.value(c)
-        # And the core still rejects a without c.
-        s.add_clause([a])
-        s.add_clause([-c])
-        assert not s.solve()
-
-    def test_blocking_clauses_in_groups_are_retractable(self):
-        """The AllSAT pattern the shared core uses: enumerate models,
-        block each in a group, then retract to recover the original
-        model count."""
-
-        def count_models(solver, nvars, group):
-            seen = 0
-            while solver.solve():
-                model = [solver.value(v + 1) for v in range(nvars)]
-                seen += 1
-                blocking = [
-                    -(v + 1) if val else (v + 1)
-                    for v, val in enumerate(model)
-                ]
-                solver.add_clause(blocking, group=group)
-                if seen > 8:  # safety: 2 vars -> at most 4 models
-                    break
-            return seen
-
-        s = Solver()
-        s.new_var()
-        s.new_var()
-        g1 = s.new_group()
-        assert count_models(s, 2, g1) == 4
-        s.retract_group(g1)
-        g2 = s.new_group()
-        assert count_models(s, 2, g2) == 4  # blocks fully recovered
-
-
 class TestStatsSurface:
     def test_solver_stats_counters_are_deterministic_ints(self):
         clear_core_memo()
-        inc = sat_enumeration(_prepare(MP, "drf0"), shared=True)
+        inc = sat_enumeration(_prepare(MP, "drf0"))
         counters = inc.solver_stats.counters()
         assert set(counters) == {
             "decisions", "conflicts", "propagations", "restarts",
@@ -481,25 +406,27 @@ class TestStatsSurface:
         assert all(isinstance(v, int) for v in counters.values())
         # Deterministic: the same check replays to the same counters.
         clear_core_memo()
-        again = sat_enumeration(_prepare(MP, "drf0"), shared=True)
+        again = sat_enumeration(_prepare(MP, "drf0"))
         assert again.solver_stats.counters() == counters
 
     def test_encode_and_solve_times_are_recorded(self):
         clear_core_memo()
-        inc = sat_enumeration(_prepare(MP, "drf0"), shared=True)
+        inc = sat_enumeration(_prepare(MP, "drf0"))
         assert inc.solver_stats.encode_s > 0.0
         assert inc.solver_stats.solve_s >= 0.0
 
 
 def _audit_seconds(programs, shared):
-    """Wall time of the 3-model sat audit of *programs*; the shared-core
-    side starts from a cold core memo, as a fresh process would."""
+    """Wall time of the 3-model sat audit of *programs*, served by the
+    core memo (from cold, as a fresh process would) or by a fresh core
+    per cell."""
+    serve = sat_enumeration if shared else _fresh
     if shared:
         clear_core_memo()
     t0 = time.perf_counter()
     for program in programs:
         for model in MODELS:
-            sat_enumeration(_prepare(program, model), shared=shared)
+            serve(_prepare(program, model))
     return time.perf_counter() - t0
 
 
@@ -509,7 +436,7 @@ def _sat_eligible_corpus():
     for entry in load_corpus():
         try:
             for model in MODELS:
-                sat_enumeration(_prepare(entry.program, model), shared=False)
+                _fresh(_prepare(entry.program, model))
         except SolverCapacityError:
             continue
         eligible.append(entry.program)
@@ -540,9 +467,10 @@ class TestAuditIdentity:
 
 
 class TestSpeedup:
-    #: Minimum shared-core speedup over one-shot solving, per audit set.
+    #: Minimum memoized-core speedup over a fresh core per cell, per
+    #: audit set.
     TARGET = 2.0
-    #: Interleaved one-shot/shared rounds; each side keeps its best.
+    #: Interleaved fresh/memoized rounds; each side keeps its best.
     REPEAT = 5
 
     @pytest.mark.bench
@@ -553,8 +481,8 @@ class TestSpeedup:
     )
     def test_shared_core_audit_is_twice_as_fast_as_one_shot(self):
         """The 3-model sat audit of the SAT-eligible corpus and of each
-        scaling family at n=8, one-shot against one warm core per
-        program."""
+        scaling family at n=8, a fresh core per cell against one warm
+        memoized core per program."""
         speedups = {}
         for name, programs in [("corpus", _sat_eligible_corpus())] + [
             (program.name, [program]) for program in FAMILIES

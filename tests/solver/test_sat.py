@@ -129,49 +129,6 @@ class TestCraftedCnfs:
         assert_model_satisfies(solver, clauses)
 
 
-class TestAssumptions:
-    def test_assumptions_restrict_the_model(self):
-        solver = make_solver(2, [[1, 2]])
-        assert solver.solve(assumptions=[-1])
-        assert solver.value(1) is False and solver.value(2) is True
-        assert solver.solve(assumptions=[-2])
-        assert solver.value(1) is True and solver.value(2) is False
-
-    def test_unsat_core_is_a_failing_subset(self):
-        # 1 and 2 together are contradictory; 3 is irrelevant.
-        solver = make_solver(3, [[-1, -2]])
-        assert not solver.solve(assumptions=[1, 2, 3])
-        core = solver.core()
-        assert set(core) <= {1, 2, 3}
-        assert set(core) >= {2} and 3 not in core
-        # The reported core really is unsatisfiable on its own.
-        assert not solver.solve(assumptions=core)
-
-    def test_solver_usable_after_assumption_failure(self):
-        """Incremental reuse: a failed assumption solve must not poison
-        later calls — learnt clauses persist, the conflict does not."""
-        solver = make_solver(3, [[-1, -2], [1, 3], [2, 3]])
-        assert not solver.solve(assumptions=[1, 2])
-        assert solver.solve(assumptions=[1])
-        assert solver.value(2) is False
-        assert solver.solve(assumptions=[2])
-        assert solver.value(1) is False
-        assert solver.solve()
-
-    def test_clauses_added_between_solves(self):
-        solver = make_solver(2, [[1, 2]])
-        assert solver.solve(assumptions=[-1])
-        solver.add_clause([-2])
-        assert solver.solve()
-        assert solver.value(1) is True and solver.value(2) is False
-        assert not solver.solve(assumptions=[-1])
-
-    def test_core_empty_when_formula_itself_unsat(self):
-        solver = make_solver(1, [[1], [-1]])
-        assert not solver.solve(assumptions=[1])
-        assert solver.core() == ()
-
-
 class TestAllSat:
     def test_blocking_clauses_enumerate_every_model(self):
         # 3 free vars constrained only by (1 or 2): 6 models.

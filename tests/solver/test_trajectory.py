@@ -1,6 +1,6 @@
 """The CDCL search trajectory is pinned by a golden fixture.
 
-``test_incremental.py`` compares the shared core with one-shot runs of
+``test_incremental.py`` compares memoized cores with fresh cores of
 the *same* solver, so a change to the CDCL kernel that alters the search
 passes it unnoticed.  The solver counters (decisions, conflicts,
 propagations, restarts, learnt clauses) ship in v1 ``solver_stats``
@@ -11,8 +11,9 @@ lands on — must not move under a refactor of the solver's inner loops.
 
 - every model of every corpus program the solver can ground, and
   ``scaled_mp``/``scaled_chain`` over all :data:`SCALED_KINDS` for
-  n <= 4, both one-shot (``shared=False``) and served from a shared
-  core, uncapped and capped at two classes: the counters, the class
+  n <= 4, both from a fresh core over the labeled program (``oneshot``)
+  and served from the core memo (``shared``), uncapped and capped at
+  two classes: the counters, the class
   count, the truncation count and a digest of the decoded executions in
   class order;
 - the :class:`~repro.solver.sat.SatStats` and the model of each
@@ -35,7 +36,7 @@ from repro.core.model import MODELS, _prepare
 from repro.litmus.corpus import load_corpus
 from repro.litmus.library import SCALED_KINDS, scaled_chain, scaled_mp
 from repro.solver import SolverCapacityError, sat_enumeration
-from repro.solver.bridge import clear_core_memo
+from repro.solver.bridge import SharedCore, clear_core_memo
 
 from tests.solver.test_sat import make_solver, pigeonhole, random_cnfs
 
@@ -58,10 +59,12 @@ def _digest(executions) -> str:
 
 
 def _enumeration_record(program, model, shared, cap):
+    prepared = _prepare(program, model)
     try:
-        enumeration = sat_enumeration(
-            _prepare(program, model), max_executions=cap, shared=shared,
-        )
+        if shared:
+            enumeration = sat_enumeration(prepared, max_executions=cap)
+        else:
+            enumeration = SharedCore(prepared).serve(prepared, cap, False)
     except SolverCapacityError:
         return None
     record = enumeration.solver_stats.counters()
@@ -87,7 +90,7 @@ def trajectory():
     programs = {}
     for name, program in _programs():
         # One warm core per program across its models, as the checking
-        # pipeline uses it; the one-shot runs never touch the memo.  The
+        # pipeline uses it; the fresh cores never touch the memo.  The
         # capped runs pin the per-class snapshots a warm core serves.
         clear_core_memo()
         for model in MODELS:
